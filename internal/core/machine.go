@@ -596,7 +596,7 @@ func (m *Machine) ParallelFor(n int, body func(ctx *Ctx, i int)) {
 // Scheduling interleaves at item granularity: the lowest-clock core with
 // work runs one item, which keeps core clocks tightly coupled so
 // shared-resource (DRAM/NoC) arrival order stays realistic. Core selection
-// uses a (clock, id)-ordered indexed min-heap — O(log p) per item instead
+// uses a (clock, id)-ordered min-heap — O(log p) per item instead
 // of an O(p) scan — and chunks are claimed eagerly the moment a core goes
 // idle. Both transformations preserve the exact item interleaving of the
 // original per-item scan: the heap minimum equals the scan's

@@ -5,7 +5,7 @@ import (
 	"omega/internal/memsys"
 )
 
-// coreHeap is an indexed binary min-heap of core IDs ordered by
+// coreHeap is a binary min-heap of core IDs ordered by
 // (local clock, core ID). ParallelForGrain uses it to pick the next core
 // to run in O(log p) instead of scanning all cores per work item.
 //
@@ -27,7 +27,6 @@ type coreHeap struct {
 	cores  []*cpu.Core
 	ids    []int32         // heap slots holding core IDs
 	clocks []memsys.Cycles // cached Clock() of the core in each slot
-	pos    []int32         // core ID -> heap slot, -1 when not queued
 }
 
 // reset prepares the heap for a machine's cores, reusing prior storage.
@@ -35,13 +34,6 @@ func (h *coreHeap) reset(cores []*cpu.Core) {
 	h.cores = cores
 	h.ids = h.ids[:0]
 	h.clocks = h.clocks[:0]
-	if cap(h.pos) < len(cores) {
-		h.pos = make([]int32, len(cores))
-	}
-	h.pos = h.pos[:len(cores)]
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
 }
 
 func (h *coreHeap) empty() bool { return len(h.ids) == 0 }
@@ -60,7 +52,6 @@ func (h *coreHeap) less(a, b int) bool {
 func (h *coreHeap) push(id int) {
 	h.ids = append(h.ids, int32(id))
 	h.clocks = append(h.clocks, h.cores[id].Clock())
-	h.pos[id] = int32(len(h.ids) - 1)
 	h.up(len(h.ids) - 1)
 }
 
@@ -68,7 +59,6 @@ func (h *coreHeap) push(id int) {
 func (h *coreHeap) pop() {
 	last := len(h.ids) - 1
 	h.swap(0, last)
-	h.pos[h.ids[last]] = -1
 	h.ids = h.ids[:last]
 	h.clocks = h.clocks[:last]
 	if last > 0 {
@@ -85,8 +75,6 @@ func (h *coreHeap) fixMin() {
 func (h *coreHeap) swap(i, j int) {
 	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
 	h.clocks[i], h.clocks[j] = h.clocks[j], h.clocks[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
 }
 
 func (h *coreHeap) up(i int) {

@@ -12,6 +12,7 @@ import (
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
+	"omega/internal/graph"
 	"omega/internal/graph/datasets"
 	"omega/internal/ligra"
 	"omega/internal/obs"
@@ -43,14 +44,20 @@ type CellKey struct {
 	Workload string
 }
 
-// Cell is one cached simulation: the stats snapshot plus the canonical
-// pre-stamp metric-sample stream (sorted, with Run and Experiment
-// fields unset — each requesting run restamps its own labels at
-// replay, so differently-labeled call sites can share one cell and
-// still emit byte-identical streams).
+// Cell is one cached simulation: the stats snapshot, the vtxProp access
+// skew, and the canonical pre-stamp metric-sample stream (sorted, with
+// Run and Experiment fields unset — each requesting run restamps its
+// own labels at replay, so differently-labeled call sites can share one
+// cell and still emit byte-identical streams).
 type Cell struct {
 	// Stats is the machine statistics of the run (a pure value type).
 	Stats core.MachineStats
+	// Skew is the share of vtxProp accesses that targeted the 20% of
+	// vertices with the highest in-degree (Figures 4b and 5). Only this
+	// reduction is kept, not the per-vertex profile it came from: a
+	// resident n-length profile per cell would grow the suite's peak RSS
+	// for no consumer.
+	Skew float64
 	// samples is the canonical pre-stamp sample stream.
 	samples []obs.MetricSample
 }
@@ -324,14 +331,22 @@ func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
 }
 
 // runCell simulates one (config, graph, workload) cell and returns its
-// stats, drawing from o.Cells when the cell is cacheable. run is the
-// label stamped into the requesting run's sample stream; it is NOT part
-// of the cell identity — cells store pre-stamp samples and each
-// requester restamps, so call sites with different labeling conventions
-// share cells. SerialAccess is applied to cfg before keying, so batched
-// and per-access runs stay distinct cache entries even though their
-// results are bit-identical (host-perf A/B must not share timings).
+// stats; see runCellSkew.
 func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) core.MachineStats {
+	st, _ := runCellSkew(o, spec, pr, cfg, run)
+	return st
+}
+
+// runCellSkew simulates one (config, graph, workload) cell and returns
+// its stats and vtxProp access skew (Cell.Skew), drawing from o.Cells
+// when the cell is cacheable. run is the label stamped into the
+// requesting run's sample stream; it is NOT part of the cell identity —
+// cells store pre-stamp samples and each requester restamps, so call
+// sites with different labeling conventions share cells. SerialAccess
+// is applied to cfg before keying, so batched and per-access runs stay
+// distinct cache entries even though their results are bit-identical
+// (host-perf A/B must not share timings).
+func runCellSkew(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (core.MachineStats, float64) {
 	if o.SerialAccess {
 		cfg.SerialAccess = true
 	}
@@ -355,7 +370,7 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 		// The builder forwards its freshly captured stream (already part
 		// of the build's cost; no replay label).
 		replaySamples(o.sink, cell.samples, run)
-		return cell.Stats
+		return cell.Stats, cell.Skew
 	}
 	o.cellStats.noteHit()
 	if o.sink != nil {
@@ -365,7 +380,22 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 			replaySamples(o.sink, cell.samples, run)
 		})
 	}
-	return cell.Stats
+	return cell.Stats, cell.Skew
+}
+
+// simulate runs spec on a fresh machine for cfg with the vertex profile
+// enabled — one counter bump per vtxProp access, never timing-visible —
+// and returns the stats and the profile's top-20% access share on the
+// cell's own graph. sink, when non-nil, receives the machine's samples.
+func simulate(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, sink obs.Sink) (core.MachineStats, float64) {
+	m := core.NewMachine(cfg)
+	m.AttachContext(o.ctx)
+	if sink != nil {
+		m.AttachSink(sink)
+	}
+	m.EnableVertexProfile(pr.g.NumVertices())
+	st := spec.Run(ligra.New(m, pr.g))
+	return st, graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)
 }
 
 // buildCell simulates a cacheable cell: the machine always emits into a
@@ -375,34 +405,30 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 // perturbs the cached stats.
 func buildCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config) Cell {
 	capture := obs.NewBuffer()
-	var st core.MachineStats
+	var c Cell
 	pprof.Do(o.Context(), pprof.Labels("cell", "build", "machine", cfg.Name), func(context.Context) {
-		m := core.NewMachine(cfg)
-		m.AttachContext(o.ctx)
-		m.AttachSink(capture)
-		st = spec.Run(ligra.New(m, pr.g))
+		c.Stats, c.Skew = simulate(o, spec, pr, cfg, capture)
 	})
-	samples := capture.Drain()
+	c.samples = capture.Drain()
 	// Canonicalize once at build time: Run/Experiment are unset here, and
 	// the sort order is total, so every replay starts from one canonical
 	// sequence regardless of emission interleavings.
-	obs.SortSamples(samples)
-	return Cell{Stats: st, samples: samples}
+	obs.SortSamples(c.samples)
+	return c
 }
 
 // buildCellDirect is the bypass path (cache disabled or cell
 // uncacheable): simulate exactly like the pre-cache harness, emitting
 // straight into the run's sink under its run label.
-func buildCellDirect(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (st core.MachineStats) {
+func buildCellDirect(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (st core.MachineStats, skew float64) {
+	var sink obs.Sink
+	if o.sink != nil {
+		sink = obs.WithRun(o.sink, run)
+	}
 	pprof.Do(o.Context(), pprof.Labels("machine", cfg.Name), func(context.Context) {
-		m := core.NewMachine(cfg)
-		m.AttachContext(o.ctx)
-		if o.sink != nil {
-			m.AttachSink(obs.WithRun(o.sink, run))
-		}
-		st = spec.Run(ligra.New(m, pr.g))
+		st, skew = simulate(o, spec, pr, cfg, sink)
 	})
-	return st
+	return st, skew
 }
 
 // replaySamples re-emits a cell's canonical stream into a run's sink,

@@ -12,6 +12,7 @@ import (
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
+	"omega/internal/graph"
 	"omega/internal/ligra"
 	"omega/internal/memsys"
 	"omega/internal/obs"
@@ -351,6 +352,86 @@ func TestSuiteCellCacheEquivalence(t *testing.T) {
 	}
 	if cellTotal == 0 {
 		t.Error("telemetry recorded no cells for the cached suite")
+	}
+}
+
+// TestSkewFiguresReplayCells pins the access-skew artifact: Figures 4b
+// and 5 read the skew recorded at cell build, so after the experiments
+// that build their baseline cells they simulate nothing, and the share
+// every cell path returns equals the one measured on a directly built
+// profiling machine.
+func TestSkewFiguresReplayCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-figure cell replay skipped in -short mode")
+	}
+	cells := NewCellCache()
+	opts := Options{Scale: 9, Seed: 42, Coverage: 0.20, Cells: cells}
+	// replays runs build then skew and returns skew's table and cache
+	// traffic.
+	replays := func(build, skew func(Options) *Table) (tbl *Table, hits, misses uint64) {
+		build(opts)
+		before := cells.Stats()
+		tbl = skew(opts)
+		after := cells.Stats()
+		return tbl, after.Hits - before.Hits, after.Misses - before.Misses
+	}
+	// Figure 4b has one row per algorithm, each the baseline cell Figure
+	// 4a already built.
+	if _, hits, misses := replays(Figure4a, Figure4b); hits != uint64(len(algorithms.All())) || misses != 0 {
+		t.Errorf("Figure 4b after Figure 4a: %d hits, %d misses; want %d hits, 0 misses",
+			hits, misses, len(algorithms.All()))
+	}
+	// Every Figure 5 grid slot other than "-" is a baseline cell that
+	// Figure 14 already built.
+	tbl, hits, misses := replays(Figure14, Figure5)
+	var slots uint64
+	for _, row := range tbl.Rows {
+		for _, v := range row[1:] { // row[0] is the dataset name
+			if v != "-" {
+				slots++
+			}
+		}
+	}
+	if hits != slots || misses != 0 {
+		t.Errorf("Figure 5 after Figure 14: %d hits, %d misses; want %d hits, 0 misses", hits, misses, slots)
+	}
+
+	spec, _ := algorithms.ByName("PageRank")
+	o := Options{Scale: 9, Seed: 42, Coverage: 0.20}.Defaults()
+	pr := prepareDataset(mustDataset("rmat"), o, false)
+	cfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
+	m := core.NewMachine(cfg)
+	m.EnableVertexProfile(pr.g.NumVertices())
+	wantStats := spec.Run(ligra.New(m, pr.g))
+	want := graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)
+	if want <= 0 || want > 1 {
+		t.Fatalf("direct top-20%% share %v, want in (0, 1]", want)
+	}
+
+	check := func(path string, o Options) {
+		t.Helper()
+		st, got := runCellSkew(o, spec, pr, cfg, pr.g.Name)
+		if got != want {
+			t.Errorf("%s: share %v, want %v", path, got, want)
+		}
+		if st.Cycles != wantStats.Cycles {
+			t.Errorf("%s: %d cycles, want %d", path, st.Cycles, wantStats.Cycles)
+		}
+	}
+	check("cache off", o)
+	on := o
+	on.Cells = NewCellCache()
+	check("cache build", on)
+	check("cache replay", on)
+	if st := on.Cells.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache on: %d misses, %d hits; want one build and one replay", st.Misses, st.Hits)
+	}
+	sink := on
+	sink.Cells = NewCellCache()
+	sink.sink = &accessSinkStub{}
+	check("uncacheable sink", sink)
+	if n := sink.Cells.Stats().Uncacheable[UncacheableSink]; n != 1 {
+		t.Errorf("uncacheable sink path counted %d bypasses, want 1", n)
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 
 // metricsGoldenSpecs is the representative subset re-run with a metrics
 // sink attached: it covers the plain two-machine path (Figure 14), the
-// TMAM breakdown (Figure 3), the concurrent-variant path (Ablation A3),
-// and a machine-less experiment (Table I) that emits only harness
-// samples. The full-registry no-sink comparison is TestGoldenBitIdentity.
-var metricsGoldenSpecs = []string{"Table I", "Figure 3", "Figure 14", "Ablation A3"}
+// TMAM breakdown (Figure 3), a skew figure that replays Figure 3's cells
+// under the same bare dataset-name label (Figure 4b), the
+// concurrent-variant path (Ablation A3), and a machine-less experiment
+// (Table I) that emits only harness samples. The full-registry no-sink comparison is TestGoldenBitIdentity.
+var metricsGoldenSpecs = []string{"Table I", "Figure 3", "Figure 4b", "Figure 14", "Ablation A3"}
 
 // TestGoldenBitIdentityWithMetrics pins the observer-effect contract:
 // attaching a metrics sink must not shift a single simulated number.
