@@ -49,7 +49,7 @@ func run() error {
 		edgeErrs  = flag.Int("edge-errors", 0, "tolerate up to N malformed edge-list lines (0 = strict)")
 		noPISC    = flag.Bool("no-pisc", false, "disable PISC engines (scratchpads only)")
 		faultRate = flag.Float64("faults", 0, "fault injection rate per DRAM read / NoC message (0 = off)")
-		faultSite = flag.String("fault-site", "", "per-site injection rates, e.g. \"directory:1e-3,linebuf:1e-4\" (sites: dram, noc, sp-parity, directory, linebuf, pisc-alu)")
+		faultSite = flag.String("fault-site", "", "per-site injection rates, e.g. \"directory:1e-3,pisc-alu:1e-4\" (sites: dram, noc, sp-parity, directory, pisc-alu)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the fault injector streams")
 		serial    = flag.Bool("serial", false, "with -machine both, simulate the machines one after the other")
 		verbose   = flag.Bool("v", false, "print full stats summaries")

@@ -98,12 +98,6 @@ type Config struct {
 	// (all rates 0) disables injection entirely and is the default.
 	Faults faults.Config
 
-	// DisableLineBuffer turns off the per-core same-line read fast path
-	// (the one-entry line buffer). Results are bit-identical either way;
-	// the knob exists so equivalence tests and benchmarks can compare the
-	// memoized path against the full probe.
-	DisableLineBuffer bool
-
 	// SerialAccess disables the run-fold batching of sequential streaming
 	// reads (DESIGN.md §11): every access takes the per-access path, one
 	// hierarchy consultation each. Results are bit-identical either way —
@@ -111,13 +105,6 @@ type Config struct {
 	// exists as a kill switch (omega-bench -no-batch) and lets equivalence
 	// tests and benchmarks drive both paths on the same workload.
 	SerialAccess bool
-
-	// DisableLineBufGenCheck drops the generation tag comparison on line
-	// buffer lookups. Only fault-injection experiments set it: with the
-	// check off, an injected line-buffer corruption replays a stale memo
-	// silently instead of being caught and discarded, which is exactly the
-	// silent-data-corruption scenario the resilience campaigns classify.
-	DisableLineBufGenCheck bool
 
 	// OpenMPChunk is the scheduling chunk size of the framework's
 	// parallel loops.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"omega/internal/memsys"
+	"omega/internal/obs"
 	"omega/internal/pisc"
 	"omega/internal/scratchpad"
 )
@@ -340,13 +341,27 @@ func TestSpeedupHelper(t *testing.T) {
 	}
 }
 
-func TestLevelProfileExposed(t *testing.T) {
+// TestLevelCountsExposed checks that the per-level service breakdown
+// reaches the registry: one access shows up as exactly one
+// machine/level_count, with nonzero machine/level_latency.
+func TestLevelCountsExposed(t *testing.T) {
 	m := NewMachine(testBaseline())
 	r := m.Alloc("p", 64, 8, memsys.KindVtxProp)
 	m.Sequential(func(ctx *Ctx) { ctx.Read(r, 0) })
-	counts, lats := m.LevelProfile()
-	if len(counts) == 0 || len(lats) == 0 {
-		t.Fatal("level profile empty")
+	var count, latency uint64
+	m.Metrics().Each(func(d obs.Desc) {
+		if d.Component != "machine" {
+			return
+		}
+		switch d.Name {
+		case "level_count":
+			count += d.Read()
+		case "level_latency":
+			latency += d.Read()
+		}
+	})
+	if count != 1 || latency == 0 {
+		t.Fatalf("level breakdown of one access: count %d, latency %d", count, latency)
 	}
 }
 

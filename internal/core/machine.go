@@ -71,18 +71,11 @@ type Machine struct {
 	// levelCount/levelLatency break accesses down by the hierarchy level
 	// that served them (diagnostics and the Figure 3/15 analyses). They
 	// are dense arrays indexed by (level, atomic-op bit) — see levelIndex —
-	// so the per-access bookkeeping is branch-light and allocation-free;
-	// LevelProfile materializes the string-keyed view on demand.
+	// so the per-access bookkeeping is branch-light and allocation-free.
+	// The registry exports them as machine/level_count and
+	// machine/level_latency.
 	levelCount   [2 * memsys.NumLevels]uint64
 	levelLatency [2 * memsys.NumLevels]uint64
-
-	// fastEpoch is the machine half of the line-buffer generation: the
-	// per-core fast path validates its memo against l1.Gen()+fastEpoch,
-	// so bumping fastEpoch invalidates every core's line buffer at once.
-	// It advances on machine-level events the caches cannot see —
-	// BeginIteration and ConfigureGraph — as a conservative guard on top
-	// of the caches' own precise generations.
-	fastEpoch uint64
 
 	// fold is the run-fold batching state (runfold.go): deferred bulk
 	// accounting for runs of same-line streaming reads. foldEnabled and
@@ -99,7 +92,9 @@ type Machine struct {
 	// seqCtx is the reusable core-0 context handed to Sequential bodies.
 	seqCtx Ctx
 
-	// lbHits/lbStores count line-buffer fast-path memo hits and arms;
+	// lbHits/lbStores count same-line memo hits and the streaming full
+	// probes that (re-)arm the memo (registered as linebuf/hits and
+	// linebuf/stores);
 	// parRegions/seqRegions/schedItems count scheduler activity. All are
 	// observability-only: nothing in the simulation reads them back.
 	lbHits     stats.Counter
@@ -266,7 +261,7 @@ func (m *Machine) MonitorFor(r *Region) scratchpad.MonitorRegister {
 // this once per run, before the algorithm starts.
 func (m *Machine) ConfigureGraph(monitors []scratchpad.MonitorRegister, totalVertices int, mc pisc.Microcode) int {
 	m.flushFold()
-	m.fastEpoch++
+	m.dropHot()
 	if m.omega == nil {
 		if m.cfg.LockedLines {
 			return m.lockHotLines(monitors, totalVertices)
@@ -322,9 +317,9 @@ func (m *Machine) EnableVertexProfile(numVertices int) {
 // VertexProfile returns the per-vertex vtxProp access counts, or nil.
 func (m *Machine) VertexProfile() []uint64 { return m.vertexProfile }
 
-// BeginIteration marks an algorithm iteration boundary. It also bumps the
-// line-buffer epoch: iteration boundaries change iteration-scoped state
-// (source vertex buffers), so every core's fast-path memo is dropped.
+// BeginIteration marks an algorithm iteration boundary. Iteration
+// boundaries change iteration-scoped state (source vertex buffers), so
+// every core's same-line memo is conservatively dropped too.
 //
 // With a sink attached, the boundary closes the previous iteration by
 // emitting every registered metric (cumulative values; a frontier gauge
@@ -341,7 +336,7 @@ func (m *Machine) BeginIteration() {
 	}
 	m.finalEmitted = false
 	m.iterations.Inc()
-	m.fastEpoch++
+	m.dropHot()
 	m.hier.BeginIteration()
 	if m.digestsOn {
 		m.digests = append(m.digests, m.StateDigest())
@@ -412,7 +407,7 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 	}
 	core := c.m.cores[c.core]
 	var res memsys.Result
-	if op == memsys.OpRead && r.Kind != memsys.KindVtxProp && !c.m.cfg.DisableLineBuffer {
+	if op == memsys.OpRead && r.Kind != memsys.KindVtxProp {
 		res = c.m.fastRead(core, a)
 	} else {
 		res = c.m.hier.Access(core.Clock(), a)
@@ -434,9 +429,18 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 	core.Mem(res)
 }
 
-// fastRead serves a non-atomic, non-vtxProp read, short-circuiting through
-// the core's one-entry line buffer when it provably hits the line of the
-// core's most recent L1 read hit.
+// dropHot drops every core's same-line memo (see fastRead) on
+// machine-level events the caches cannot see: BeginIteration and
+// ConfigureGraph. The next streaming read on each core re-probes.
+func (m *Machine) dropHot() {
+	for _, l1 := range m.path.l1 {
+		l1.DropHot()
+	}
+}
+
+// fastRead serves a non-atomic, non-vtxProp read, short-circuiting
+// through the L1's same-line memo when the read provably hits the line of
+// the core's most recent streaming L1 read hit or fill.
 //
 // Bit-identity argument: the fast path applies only to plain reads of the
 // streaming kinds (edgeList, nGraphData, activeList), which on both
@@ -444,104 +448,43 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 // because OMEGA routes it through the scratchpad monitor, where residency
 // is per-vertex (two vertices in one 64 B line can differ) and resident
 // accesses consume fault-PRNG draws. A cache-path L1 read hit has exactly
-// three side effects — use-clock tick, LRU touch, read-hit counter — and a
-// constant result {l1HitLat, Dependent, LevelL1}; it touches no directory,
-// NoC, DRAM, or fault state. Cache.SameLineReadHit replays those three
+// three cache side effects — use-clock tick, LRU touch, read-hit counter
+// — and a constant result {l1HitLat, Dependent, LevelL1}; it touches no
+// directory, NoC or DRAM state. Cache.SameLineReadHit replays those three
 // effects exactly, and only when the memoized line is provably the line a
-// full probe would hit (the memo dies on any eviction/invalidation of that
-// line). The generation check (l1.Gen() + fastEpoch) additionally drops
-// every memo on machine-level events: BeginIteration, ConfigureGraph, and
-// fault degrades (via Cache.DropHot).
+// full probe would hit (the memo dies on any eviction or invalidation of
+// that line, on Reset, and on the machine-level drops above and in the
+// fault degrade path).
+//
+// The memo is always on: it is part of the simulated semantics, not a
+// switchable optimization. A full probe draws one directory-fault
+// decision (cachePath.Access), a memo hit draws none, so switching the
+// memo off would move fault-campaign outcomes.
 func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 	l1 := m.path.l1[a.Core]
 	line := memsys.LineAddr(a.Addr)
-	gen := l1.Gen() + m.fastEpoch
-	if lat, level, ok := core.LineBufLookup(line, gen); ok && l1.SameLineReadHit(line) {
+	if l1.SameLineReadHit(line) {
 		m.lbHits.Inc()
 		// Open a fold window (runfold.go): the next same-line read would
-		// replay this exact memo hit, so it can defer instead. The latency
-		// and level guards exclude a corrupted memo replaying under
-		// DisableLineBufGenCheck — folds must only ever stand in for clean
-		// L1 hits.
-		if m.foldEnabled && lat == l1.Latency() && level == memsys.LevelL1 {
-			if way := l1.HotWay(line); way >= 0 {
-				m.openFold(a.Core, line, way, a.Kind)
-			}
+		// replay this exact memo hit, so it can defer instead.
+		if m.foldEnabled {
+			m.openFold(a.Core, line, l1.HotWay(line), a.Kind)
 		}
-		return memsys.Result{Latency: lat, Blocking: a.Dependent, Level: level}
-	}
-	if m.faults != nil && core.LineBufCaught(line) {
-		// A corrupted memo for this line just failed the generation check:
-		// the detection worked, the stale entry is discarded, and the read
-		// below takes the full (bit-identical) probe.
-		m.faults.NoteLineBufGenCatch()
+		return memsys.Result{Latency: l1.Latency(), Blocking: a.Dependent, Level: memsys.LevelL1}
 	}
 	res := m.hier.Access(core.Clock(), a)
-	// Arm the buffer for the next same-line read, whether this one hit
-	// (the probe seeded the cache memo) or missed (the fill did, via
-	// FillStream). The stored timing is what a future same-line read
-	// returns: an L1 hit at the L1's hit latency — not this access's own
-	// result. If the line is in fact absent (fill rejected by a fully
-	// pinned set), the memo was not seeded and SameLineReadHit refuses,
-	// so a stale arm costs a lookup, never correctness. The generation is
-	// re-read after the probe: its fills may have advanced it.
-	core.LineBufStore(line, l1.Gen()+m.fastEpoch, l1.Latency(), memsys.LevelL1)
 	m.lbStores.Inc()
-	corrupted := false
-	if m.faults != nil {
-		if bitSel, ok := m.faults.LineBufFlip(); ok {
-			// Transient in the just-armed memo: flip a latency bit above the
-			// core's pipelining threshold so a silent replay is timing-
-			// visible. With the generation check on, the corruption also
-			// scrambles the tag, so the next lookup misses and the catch is
-			// counted above; with the check off the stale memo replays.
-			core.CorruptLineBuf(bitSel, !m.cfg.DisableLineBufGenCheck)
-			corrupted = true
-		}
-	}
-	// Open a fold window (runfold.go) for the just-armed memo — after a
-	// hit or a successful streaming fill alike, the next same-line read
-	// would be a memo hit. A rejected fill (fully pinned set) leaves the
-	// cache hot memo elsewhere and HotWay refuses, exactly as
-	// SameLineReadHit would; a just-corrupted memo must not seed folds.
-	if m.foldEnabled && !corrupted {
+	// Open a fold window (runfold.go) for the memo the probe just armed —
+	// after a hit or a successful streaming fill alike, the next same-line
+	// read would be a memo hit. A rejected fill (fully pinned set) leaves
+	// the memo elsewhere and HotWay refuses, exactly as SameLineReadHit
+	// would.
+	if m.foldEnabled {
 		if way := l1.HotWay(line); way >= 0 {
 			m.openFold(a.Core, line, way, a.Kind)
 		}
 	}
 	return res
-}
-
-// LevelProfile returns per-level access counts and summed latencies, keyed
-// by the level name ("L1", "SP-local", ...) with atomics reported
-// separately under an "atomic:" prefix ("atomic:PISC", ...). The maps are
-// materialized here from the dense per-level arrays the access path
-// maintains; only levels that served at least one access appear.
-//
-// Deprecated-ish: prefer the observability layer for new code — the same
-// numbers stream through AttachSink as machine/level_count and
-// machine/level_latency samples, per iteration and with the rest of the
-// registry (see Metrics). LevelProfile remains for end-of-run spot
-// checks and existing tests.
-func (m *Machine) LevelProfile() (counts, latencies map[string]uint64) {
-	m.flushFold()
-	counts = make(map[string]uint64, len(m.levelCount))
-	latencies = make(map[string]uint64, len(m.levelLatency))
-	for l := memsys.Level(0); l < memsys.NumLevels; l++ {
-		for _, atomic := range [2]bool{false, true} {
-			i := levelIndex(l, atomic)
-			if m.levelCount[i] == 0 {
-				continue
-			}
-			name := l.String()
-			if atomic {
-				name = "atomic:" + name
-			}
-			counts[name] = m.levelCount[i]
-			latencies[name] = m.levelLatency[i]
-		}
-	}
-	return
 }
 
 // TakeALUFault returns the XOR mask of an injected PISC ALU transient

@@ -248,9 +248,9 @@ func (s MachineStats) Summary() string {
 		fmt.Fprintf(&b, "  faults: ECC corr %d / det %d / silent %d, NoC drops %d (gave up %d), SP parity %d (degraded %d)\n",
 			f.DRAMCorrected, f.DRAMDetected, f.DRAMSilent,
 			f.NoCDropped, f.NoCGaveUp, f.SPParityErrors, s.SPDegraded)
-		if f.DirFlips+f.LineBufFlips+f.ALUFlips > 0 {
-			fmt.Fprintf(&b, "  faults: dir flips %d (scrubbed %d), linebuf flips %d (caught %d), ALU flips %d\n",
-				f.DirFlips, f.DirScrubRepairs, f.LineBufFlips, f.LineBufGenCatches, f.ALUFlips)
+		if f.DirFlips+f.ALUFlips > 0 {
+			fmt.Fprintf(&b, "  faults: dir flips %d (scrubbed %d), ALU flips %d\n",
+				f.DirFlips, f.DirScrubRepairs, f.ALUFlips)
 		}
 	}
 	t := s.TMAM.Total()

@@ -212,7 +212,9 @@ func buildRegistry(m *Machine) *obs.Registry {
 		}
 	}
 
-	// sched / linebuf / alloc: the execution-driver side.
+	// sched / linebuf / alloc: the execution-driver side. linebuf counts
+	// the streaming-read fast path: L1 same-line memo hits, and the full
+	// probes that (re-)arm the memo.
 	r.RegisterCounter("sched", "parallel_regions", "", m.parRegions.Value)
 	r.RegisterCounter("sched", "sequential_regions", "", m.seqRegions.Value)
 	r.RegisterCounter("sched", "items", "", m.schedItems.Value)

@@ -17,7 +17,7 @@ import (
 //   - core:    one retired instruction, one issue cycle, one retiring
 //              cycle (Mem's pipelined early return at the L1 hit latency)
 //   - machine: accesses-by-kind count, level profile (L1, latency 1),
-//              line-buffer hit or store count
+//              memo hit or store count (linebuf/hits, linebuf/stores)
 //
 // All of these are order-independent sums and stamps, so they can be
 // deferred: a fold window accumulates counts while the framework's loop
@@ -31,7 +31,7 @@ import (
 // Two fold modes exist, mirroring the two per-access L1 hit paths:
 //
 //   - memo fold: the read targets the line of the window's current
-//     (virtual) line-buffer memo. The per-access path would take
+//     (virtual) L1 same-line memo. The per-access path would take
 //     Machine.fastRead's memo hit — which draws no fault PRNG — so this
 //     mode stays enabled under fault injection.
 //   - probe fold: the read targets another line of the window's stream
@@ -74,9 +74,9 @@ type foldStream struct {
 type runFold struct {
 	active bool
 	core   int
-	// cur indexes the stream whose line the window's virtual line-buffer
-	// memo holds (the real memo and cache hot-way are re-synchronized at
-	// flush when probe folds moved them).
+	// cur indexes the stream whose line the window's virtual same-line
+	// memo holds (the real L1 memo is re-synchronized at flush when probe
+	// folds moved it).
 	cur int
 	// n is the total deferred read count; memoHits/probeHits split it by
 	// replayed path for the lbHits/lbStores counters.
@@ -84,8 +84,8 @@ type runFold struct {
 	memoHits  uint64
 	probeHits uint64
 	// rearm records that at least one probe fold occurred, so the flush
-	// must re-arm the real cache hot memo and core line buffer to the
-	// current stream (the state the last replayed probe would have left).
+	// must re-arm the real L1 memo to the current stream (the state the
+	// last replayed probe would have left).
 	rearm    bool
 	nstreams int
 	next     int // round-robin replacement cursor once the registry is full
@@ -93,21 +93,21 @@ type runFold struct {
 }
 
 // recomputeFold derives the fold enables from configuration and attached
-// machinery. Folding requires the line buffer (the memo it virtualizes),
-// no per-access sink (an AccessSink must observe the expanded stream with
-// true per-access results, so batching disables itself and the trace TSV
-// bytes are trivially unchanged), and no SerialAccess kill switch. Probe
-// folds additionally require a fault-free machine: the cache-path probe
-// they replay draws injector PRNG per access.
+// machinery. Folding requires no per-access sink (an AccessSink must
+// observe the expanded stream with true per-access results, so batching
+// disables itself and the trace TSV bytes are trivially unchanged), and
+// no SerialAccess kill switch. Probe folds additionally require a
+// fault-free machine: the cache-path probe they replay draws injector
+// PRNG per access.
 func (m *Machine) recomputeFold() {
-	m.foldEnabled = !m.cfg.DisableLineBuffer && !m.cfg.SerialAccess && m.accSink == nil
+	m.foldEnabled = !m.cfg.SerialAccess && m.accSink == nil
 	m.probeFold = m.foldEnabled && m.faults == nil
 }
 
 // openFold opens a fold window on core for line, just observed armed in
-// the line buffer with its L1 way known. Called only with the window
-// inactive (every path here flushed first), so overwriting a registry
-// slot can never lose deferred counts.
+// the L1's same-line memo at way. Called only with the window inactive
+// (every path here flushed first), so overwriting a registry slot can
+// never lose deferred counts.
 func (m *Machine) openFold(core int, line memsys.Addr, way int, kind memsys.Kind) {
 	f := &m.fold
 	f.active = true
@@ -151,9 +151,8 @@ func (m *Machine) tryFold(r *Region, i int) bool {
 	f := &m.fold
 	line := memsys.LineAddr(r.Addr(i))
 	if cs := &f.streams[f.cur]; line == cs.line {
-		// Memo fold: the per-access path would hit the (virtual) line
-		// buffer — lookup valid, latency 1, level L1 — and replay the
-		// same-line cache hit.
+		// Memo fold: the per-access path would hit the (virtual) same-line
+		// memo — latency 1, level L1.
 		f.n++
 		cs.count++
 		cs.lastSeq = f.n
@@ -227,15 +226,13 @@ func (m *Machine) flushFold() {
 	m.lbHits.Add(f.memoHits)
 	m.lbStores.Add(f.probeHits)
 	if f.rearm {
-		// Probe folds virtually re-armed the cache hot memo and the core
-		// line buffer; materialize the final arm (the one the last probe
-		// would have left). The generation cannot have advanced inside the
-		// window — only fills, invalidations, and resets advance it, and
-		// all of those flush first — so the stored memo validates exactly
-		// as the per-access LineBufStore would have.
+		// Probe folds virtually re-armed the L1 memo; materialize the
+		// final arm (the one the last probe would have left). Nothing
+		// inside the window can have dropped it — only fills,
+		// invalidations, resets and machine-level drops do, and all of
+		// those flush first.
 		cs := &f.streams[f.cur]
 		l1.ArmHot(cs.line, cs.way)
-		m.cores[f.core].LineBufStore(cs.line, l1.Gen()+m.fastEpoch, l1.Latency(), memsys.LevelL1)
 	}
 	f.n, f.memoHits, f.probeHits, f.rearm = 0, 0, 0, false
 }
@@ -246,84 +243,4 @@ func (m *Machine) flushFold() {
 // not leak into it.
 func (m *Machine) resetFold() {
 	m.fold = runFold{}
-}
-
-// ReadRun emits n plain loads of the consecutive elements r[base..base+n),
-// equivalent to calling Read once per element in ascending order but
-// decomposed into line-granular segments: one per-access hierarchy probe
-// establishes each touched line, and the remaining same-line reads fold
-// into the open window in O(1) bulk (DESIGN.md §11). Cancellation is
-// polled at segment granularity. Bounds are validated up front, so an
-// out-of-range run panics before emitting any access (the per-element
-// loop would panic at the first bad element instead).
-func (c *Ctx) ReadRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	m := c.m
-	end := base + n
-	elem := memsys.Addr(r.ElemSize)
-	for i := base; i < end; {
-		m.checkCancel()
-		c.Read(r, i)
-		i++
-		f := &m.fold
-		if i >= end || !f.active || f.core != c.core {
-			continue
-		}
-		cs := &f.streams[f.cur]
-		addr := r.Base + memsys.Addr(i)*elem
-		if memsys.LineAddr(addr) != cs.line {
-			continue
-		}
-		// Elements i.. up to the line boundary are memo folds against the
-		// window just established/continued by the read above: same line,
-		// same stream, no per-element re-validation needed.
-		k := int((uint64(cs.line) + memsys.LineSize - uint64(addr) + uint64(elem) - 1) / uint64(elem))
-		if rem := end - i; k > rem {
-			k = rem
-		}
-		f.n += uint64(k)
-		cs.count += uint64(k)
-		cs.lastSeq = f.n
-		f.memoHits += uint64(k)
-		i += k
-	}
-}
-
-// WriteRun emits n plain stores of the consecutive elements
-// r[base..base+n), equivalent to calling Write once per element in
-// ascending order. Stores are not folded — every store does real
-// directory upgrade and dirty-bit work — so this is the per-element loop
-// plus up-front bounds validation and periodic cancellation polls.
-func (c *Ctx) WriteRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	for i := base; i < base+n; i++ {
-		c.m.checkCancel()
-		c.Write(r, i)
-	}
-}
-
-// ReadSrcRun emits n source-vertex property reads of the consecutive
-// elements r[base..base+n), equivalent to calling ReadSrc once per
-// element in ascending order. Source reads are not folded — on OMEGA each
-// consults the per-core source vertex buffer FIFO — so this is the
-// per-element loop plus up-front bounds validation and periodic
-// cancellation polls.
-func (c *Ctx) ReadSrcRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	for i := base; i < base+n; i++ {
-		c.m.checkCancel()
-		c.ReadSrc(r, i)
-	}
 }

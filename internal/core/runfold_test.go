@@ -15,69 +15,90 @@ import (
 // This file pins the run-fold batching contract of DESIGN.md §11: with
 // batching enabled (the default) and disabled (Config.SerialAccess), a
 // machine must produce bit-identical stats, level profiles, and metric
-// samples for the same access script — across both machine models, with
-// and without the line buffer, and under fault injection.
+// samples for the same access script — across both machine models, and
+// under fault injection.
+
+// reads emits plain loads of r[base..base+n) in ascending order — the
+// streaming loop shape every framework scan has.
+func reads(c *Ctx, r *Region, base, n int) {
+	for i := base; i < base+n; i++ {
+		c.Read(r, i)
+	}
+}
 
 // foldScript drives an adversarial mix through the fold windows: long
-// streaming runs (via ReadRun and hand loops), interleaved Exec ticks,
-// vtxProp traffic (never folds; on OMEGA it draws fault PRNG), cross-core
-// ownership churn, writes and atomics that force flushes mid-stream,
-// src reads, an iteration boundary, and a mid-script stats read (a flush
-// point that must not disturb subsequent folding).
+// streaming runs, interleaved Exec ticks, vtxProp traffic (never folds;
+// on OMEGA it draws fault PRNG), cross-core ownership churn, writes and
+// atomics that force flushes mid-stream, src reads, an iteration
+// boundary, and a mid-script stats read (a flush point that must not
+// disturb subsequent folding).
 func foldScript(m *Machine, el, wt, vp *Region) {
 	c0 := &Ctx{m: m, core: 0}
 	c1 := &Ctx{m: m, core: 1}
-	c0.ReadRun(el, 0, 64) // line-granular segments, bulk memo folds
+	reads(c0, el, 0, 64) // line-granular memo folds
 	for i := 0; i < 48; i++ {
-		c0.Read(el, i)  // stream A
-		c0.Read(wt, i)  // stream B alternating: probe folds when fault-free
-		c0.Exec(2)      // Exec must not flush the window
-		c0.Read(vp, i % 8) // vtxProp interleaved: flush + per-access path
+		c0.Read(el, i)   // stream A
+		c0.Read(wt, i)   // stream B alternating: probe folds when fault-free
+		c0.Exec(2)       // Exec must not flush the window
+		c0.Read(vp, i%8) // vtxProp interleaved: flush + per-access path
 	}
 	c1.Read(el, 3) // other core: flush, window migrates
-	c1.ReadRun(wt, 8, 40)
+	reads(c1, wt, 8, 40)
 	c0.Write(el, 5) // store invalidates c1's folded line registry entry
 	c1.Read(el, 5)  // must re-probe (registry re-validated), not replay
 	for i := 0; i < 24; i++ {
-		c0.Read(el, 64 + i)
+		c0.Read(el, 64+i)
 		c0.Atomic(vp, i%16) // non-foldable op: flush each time
 	}
-	c0.ReadSrcRun(vp, 0, 16) // src reads never fold
-	_ = m.Stats()            // mid-script flush point
-	c0.ReadRun(el, 100, 200) // folding must resume after the stats read
+	for i := 0; i < 16; i++ {
+		c0.ReadSrc(vp, i) // src reads never fold
+	}
+	_ = m.Stats()           // mid-script flush point
+	reads(c0, el, 100, 200) // folding must resume after the stats read
 	m.BeginIteration()
-	c0.ReadRun(el, 0, 32) // memo generation bumped; re-probe then fold
-	c0.WriteRun(wt, 0, 16)
+	reads(c0, el, 0, 32) // memo dropped; re-probe then fold
+	for i := 0; i < 16; i++ {
+		c0.Write(wt, i)
+	}
 	m.Barrier()
 }
 
-// foldConfig builds one grid point: machine model, line buffer on/off,
-// faults off or injecting at aggressive rates, batching on/off.
-func foldConfig(omega, lineBuf, faulty, serial bool) Config {
+// foldConfig builds one grid point: machine model, faults off or
+// injecting at aggressive rates, batching on/off.
+func foldConfig(omega, faulty, serial bool) Config {
 	b, o := ScaledPair(4096, 8, 0.2)
 	cfg := b
 	if omega {
 		cfg = o
 	}
-	cfg.DisableLineBuffer = !lineBuf
 	cfg.SerialAccess = serial
 	if faulty {
 		cfg.Faults = faults.Config{
-			Seed:            7,
-			DRAMFlipRate:    0.05,
-			DirFlipRate:     0.02,
-			NoCDropRate:     0.01,
-			SPParityRate:    0.02,
-			LineBufFlipRate: 0.01,
+			Seed:         7,
+			DRAMFlipRate: 0.05,
+			DirFlipRate:  0.02,
+			NoCDropRate:  0.01,
+			SPParityRate: 0.02,
 		}
 	}
 	return cfg
 }
 
+// levelProfile is the machine's per-level access counts and summed
+// latencies, settled (any open fold window flushed).
+type levelProfile struct {
+	counts, latencies [2 * memsys.NumLevels]uint64
+}
+
+func levelsOf(m *Machine) levelProfile {
+	m.flushFold()
+	return levelProfile{m.levelCount, m.levelLatency}
+}
+
 // runFoldScript executes foldScript on a fresh machine with a metrics
 // buffer attached and returns every observable the equivalence check
 // compares: final stats, level profile, and the emitted sample stream.
-func runFoldScript(cfg Config) (MachineStats, map[string]uint64, map[string]uint64, []obs.MetricSample) {
+func runFoldScript(cfg Config) (MachineStats, levelProfile, []obs.MetricSample) {
 	m := NewMachine(cfg)
 	buf := obs.NewBuffer()
 	m.AttachSink(buf) // samples-only sink: batching stays enabled
@@ -90,174 +111,36 @@ func runFoldScript(cfg Config) (MachineStats, map[string]uint64, map[string]uint
 			pisc.StandardMicrocode("add", pisc.OpFPAdd, false, false))
 	}
 	foldScript(m, el, wt, vp)
-	counts, lats := m.LevelProfile()
-	return m.Stats(), counts, lats, buf.Samples()
+	lv := levelsOf(m)
+	return m.Stats(), lv, buf.Samples()
 }
 
-// TestRunFoldEquivalence sweeps the full configuration grid — machine
-// model × line buffer × fault injection — and requires the batched and
-// serial access paths to be indistinguishable in stats, level profile,
-// and metric samples. Fault injection at nonzero rates additionally pins
-// the PRNG-stream invariant: folding must not consume or skip a single
-// injector draw, or seeded fault campaigns would diverge.
+// TestRunFoldEquivalence sweeps the configuration grid — machine model ×
+// fault injection — and requires the batched and serial access paths to
+// be indistinguishable in stats, level profile, and metric samples.
+// Fault injection at nonzero rates additionally pins the PRNG-stream
+// invariant: folding must not consume or skip a single injector draw, or
+// seeded fault campaigns would diverge.
 func TestRunFoldEquivalence(t *testing.T) {
 	for _, omega := range []bool{false, true} {
-		for _, lineBuf := range []bool{true, false} {
-			for _, faulty := range []bool{false, true} {
-				name := fmt.Sprintf("omega=%v/linebuf=%v/faults=%v", omega, lineBuf, faulty)
-				t.Run(name, func(t *testing.T) {
-					stB, cntB, latB, smpB := runFoldScript(foldConfig(omega, lineBuf, faulty, false))
-					stS, cntS, latS, smpS := runFoldScript(foldConfig(omega, lineBuf, faulty, true))
-					if !reflect.DeepEqual(stB, stS) {
-						t.Fatalf("stats diverge:\nbatched: %+v\nserial:  %+v", stB, stS)
-					}
-					if !reflect.DeepEqual(cntB, cntS) {
-						t.Fatalf("level counts diverge:\nbatched: %v\nserial:  %v", cntB, cntS)
-					}
-					if !reflect.DeepEqual(latB, latS) {
-						t.Fatalf("level latencies diverge:\nbatched: %v\nserial:  %v", latB, latS)
-					}
-					if !reflect.DeepEqual(smpB, smpS) {
-						t.Fatalf("metric samples diverge: batched %d vs serial %d samples",
-							len(smpB), len(smpS))
-					}
-					if faulty && stB.Faults.Total() == 0 {
-						t.Fatal("faulty grid point injected no faults; rates too low to exercise the invariant")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestReadRunLoopEquivalence pins the tentpole API contract directly:
-// ReadRun (and WriteRun/ReadSrcRun) over [base, base+n) is
-// indistinguishable from the equivalent per-element loop, including when
-// the run starts and ends mid-line and when it spans a flush caused by
-// interleaved traffic.
-func TestReadRunLoopEquivalence(t *testing.T) {
-	script := func(runAPI bool) func(m *Machine, el, wt, vp *Region) {
-		return func(m *Machine, el, wt, vp *Region) {
-			c := &Ctx{m: m, core: 0}
-			emit := func(r *Region, base, n int, read func(*Ctx, *Region, int), run func(*Ctx, *Region, int, int)) {
-				if runAPI {
-					run(c, r, base, n)
-					return
+		for _, faulty := range []bool{false, true} {
+			name := fmt.Sprintf("omega=%v/faults=%v", omega, faulty)
+			t.Run(name, func(t *testing.T) {
+				stB, lvB, smpB := runFoldScript(foldConfig(omega, faulty, false))
+				stS, lvS, smpS := runFoldScript(foldConfig(omega, faulty, true))
+				if !reflect.DeepEqual(stB, stS) {
+					t.Fatalf("stats diverge:\nbatched: %+v\nserial:  %+v", stB, stS)
 				}
-				for i := base; i < base+n; i++ {
-					read(c, r, i)
+				if lvB != lvS {
+					t.Fatalf("level profile diverges:\nbatched: %v\nserial:  %v", lvB, lvS)
 				}
-			}
-			read := func(c *Ctx, r *Region, i int) { c.Read(r, i) }
-			// Misaligned base and length: first/last segments are partial lines.
-			emit(el, 3, 61, read, (*Ctx).ReadRun)
-			c.Write(el, 40) // flush mid-region before the next run
-			emit(el, 30, 50, read, (*Ctx).ReadRun)
-			emit(wt, 5, 2, read, (*Ctx).ReadRun) // short run, single line
-			emit(vp, 0, 16, func(c *Ctx, r *Region, i int) { c.ReadSrc(r, i) }, (*Ctx).ReadSrcRun)
-			emit(wt, 1, 31, func(c *Ctx, r *Region, i int) { c.Write(r, i) }, (*Ctx).WriteRun)
-			emit(el, 0, 1, read, (*Ctx).ReadRun)
-		}
-	}
-	for _, omega := range []bool{false, true} {
-		t.Run(fmt.Sprintf("omega=%v", omega), func(t *testing.T) {
-			run := func(useRun bool) (MachineStats, map[string]uint64) {
-				cfg := foldConfig(omega, true, false, false)
-				m := NewMachine(cfg)
-				el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
-				wt := m.Alloc("wt", 4096, 8, memsys.KindNGraphData)
-				vp := m.Alloc("vp", 4096, 8, memsys.KindVtxProp)
-				if m.HasScratchpads() {
-					m.ConfigureGraph(
-						[]scratchpad.MonitorRegister{m.MonitorFor(vp)}, 4096,
-						pisc.StandardMicrocode("add", pisc.OpFPAdd, false, false))
+				if !reflect.DeepEqual(smpB, smpS) {
+					t.Fatalf("metric samples diverge: batched %d vs serial %d samples",
+						len(smpB), len(smpS))
 				}
-				script(useRun)(m, el, wt, vp)
-				counts, _ := m.LevelProfile()
-				return m.Stats(), counts
-			}
-			stR, cntR := run(true)
-			stL, cntL := run(false)
-			if !reflect.DeepEqual(stR, stL) {
-				t.Fatalf("stats diverge:\nReadRun: %+v\nloop:    %+v", stR, stL)
-			}
-			if !reflect.DeepEqual(cntR, cntL) {
-				t.Fatalf("level counts diverge:\nReadRun: %v\nloop:    %v", cntR, cntL)
-			}
-		})
-	}
-}
-
-// TestReadRunBounds pins the documented up-front bounds contract: an
-// out-of-range run panics before emitting any access.
-func TestReadRunBounds(t *testing.T) {
-	m := NewMachine(testBaseline())
-	el := m.Alloc("el", 64, 8, memsys.KindEdgeList)
-	c := &Ctx{m: m, core: 0}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-range ReadRun did not panic")
-			}
-		}()
-		c.ReadRun(el, 60, 8)
-	}()
-	if got := m.Stats().TotalAccesses(); got != 0 {
-		t.Fatalf("out-of-range ReadRun emitted %d accesses before panicking", got)
-	}
-}
-
-// TestReadRunZeroAlloc pins the zero-allocation contract for the batched
-// hot path in steady state, matching TestAccessPathZeroAlloc for the
-// per-access path.
-func TestReadRunZeroAlloc(t *testing.T) {
-	for _, omega := range []bool{false, true} {
-		m, _ := perfMachine(omega)
-		r := m.Alloc("el", perfN, 8, memsys.KindEdgeList)
-		warmAccess(m, r)
-		m.Sequential(func(ctx *Ctx) { ctx.ReadRun(r, 0, perfN) })
-		if avg := testing.AllocsPerRun(10, func() {
-			m.Sequential(func(ctx *Ctx) { ctx.ReadRun(r, 0, perfN) })
-		}); avg != 0 {
-			t.Errorf("omega=%v: ReadRun allocates %.1f times per %d-element run", omega, avg, perfN)
-		}
-	}
-}
-
-// BenchmarkAccessRun measures the batched streaming-read path against the
-// equivalent per-element loop in the same harness: one warm sweep over the
-// working set per iteration, reported per simulated access. The run/loop
-// gap is the per-access dispatch that line-granular folding amortizes.
-func BenchmarkAccessRun(b *testing.B) {
-	sweeps := map[string]func(*Ctx, *Region){
-		"run": func(ctx *Ctx, r *Region) { ctx.ReadRun(r, 0, perfN) },
-		"loop": func(ctx *Ctx, r *Region) {
-			for i := 0; i < perfN; i++ {
-				ctx.Read(r, i)
-			}
-		},
-	}
-	for _, mc := range []struct {
-		name  string
-		omega bool
-	}{{"baseline", false}, {"omega", true}} {
-		for _, sw := range []string{"run", "loop"} {
-			sweep := sweeps[sw]
-			b.Run(mc.name+"/"+sw, func(b *testing.B) {
-				m, _ := perfMachine(mc.omega)
-				// A streaming-kind region: vtxProp never folds (on OMEGA it
-				// routes through the scratchpad monitor), edge lists are the
-				// traffic the batched path exists for.
-				r := m.Alloc("el", perfN, 8, memsys.KindEdgeList)
-				warmAccess(m, r)
-				m.Sequential(func(ctx *Ctx) { sweep(ctx, r) })
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					m.Sequential(func(ctx *Ctx) { sweep(ctx, r) })
+				if faulty && stB.Faults.Total() == 0 {
+					t.Fatal("faulty grid point injected no faults; rates too low to exercise the invariant")
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perfN), "ns/access")
 			})
 		}
 	}

@@ -62,7 +62,6 @@ type MachineState struct {
 	vertexProfile  []uint64
 	levelCount     [2 * memsys.NumLevels]uint64
 	levelLatency   [2 * memsys.NumLevels]uint64
-	fastEpoch      uint64
 	pendingALU     uint64
 	digests        []uint64
 }
@@ -101,7 +100,6 @@ func (m *Machine) Snapshot() *MachineState {
 		schedItems:     m.schedItems,
 		levelCount:     m.levelCount,
 		levelLatency:   m.levelLatency,
-		fastEpoch:      m.fastEpoch,
 		pendingALU:     m.pendingALU,
 	}
 	for _, c := range m.cores {
@@ -193,7 +191,6 @@ func (m *Machine) Restore(s *MachineState) {
 	m.schedItems = s.schedItems
 	m.levelCount = s.levelCount
 	m.levelLatency = s.levelLatency
-	m.fastEpoch = s.fastEpoch
 	m.pendingALU = s.pendingALU
 	if m.vertexProfile != nil && s.vertexProfile != nil && len(m.vertexProfile) == len(s.vertexProfile) {
 		copy(m.vertexProfile, s.vertexProfile)
@@ -229,11 +226,11 @@ func (m *Machine) DigestTrail() []uint64 {
 }
 
 // StateDigest folds the machine's timing-visible state into one FNV-1a
-// hash: core clocks and instruction counts, cache generations and probe
-// counters, directory occupancy, DRAM/NoC totals, and the machine-level
-// access counters. Two runs with equal digests at an iteration boundary
-// have (with overwhelming probability) identical simulated histories up to
-// that point; a mismatch pins the first corrupted iteration.
+// hash: core clocks and instruction counts, L1 read counters, directory
+// occupancy, DRAM/NoC totals, and the machine-level access counters. Two
+// runs with equal digests at an iteration boundary have (with
+// overwhelming probability) identical simulated histories up to that
+// point; a mismatch pins the first corrupted iteration.
 func (m *Machine) StateDigest() uint64 {
 	m.flushFold()
 	const (
@@ -253,7 +250,6 @@ func (m *Machine) StateDigest() uint64 {
 		mix(c.Instructions())
 	}
 	for _, c := range m.path.l1 {
-		mix(c.Gen())
 		mix(c.Reads.Hits)
 		mix(c.Reads.Total)
 	}

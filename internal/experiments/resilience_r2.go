@@ -23,7 +23,7 @@ const campaignSeedCount = 2
 // CampaignFor assembles the standard R2 campaign for an options set:
 // PageRank on the reordered rmat stand-in, on the OMEGA machine (the only
 // variant with every injection site live: scratchpad parity, PISC ALU,
-// line buffer, directory, DRAM, NoC), sweeping every fault site over
+// directory, DRAM, NoC), sweeping every fault site over
 // CampaignRates × campaignSeedCount seeds under the default recovery
 // policy.
 func CampaignFor(o Options) resilience.Campaign {

@@ -74,38 +74,35 @@ func TestCampaignFaultSeedChangesRuns(t *testing.T) {
 	}
 }
 
-// TestLineBufSDCPair is the silent-data-corruption acceptance pair: the
-// same line-buffer corruption (rate 5e-3, seed 3) classifies as
-// detected-corrected when the modeled hardware has memo generation
-// checks, and as silent-data-corruption — recovered within the
-// re-execution budget — when it does not. The (rate, seed) pair was
-// picked empirically; determinism keeps it stable.
-func TestLineBufSDCPair(t *testing.T) {
-	const rate, seed = 5e-3, 3
+// TestDirScrubSDCPair is the silent-data-corruption acceptance pair: the
+// same directory probe-table corruption (rate 1e-3, seed 2) classifies as
+// detected-corrected when the directory scrubber runs, and as
+// silent-data-corruption — recovered within the re-execution budget —
+// when the workload's fault model disables it (Faults.DisableDirScrub,
+// which RunOne must carry into the injected run). The (rate, seed) pair
+// was picked empirically; determinism keeps it stable.
+func TestDirScrubSDCPair(t *testing.T) {
+	const rate, seed = 1e-3, 2
 	pol := resilience.DefaultPolicy()
 
-	checked := CampaignFor(campaignOpts()).Workload
-	g, err := resilience.RunGolden(checked, nil)
+	scrubbed := CampaignFor(campaignOpts()).Workload
+	g, err := resilience.RunGolden(scrubbed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := resilience.RunOne(checked, faults.SiteLineBuf, rate, seed, pol, g, nil)
+	rep := resilience.RunOne(scrubbed, faults.SiteDirectory, rate, seed, pol, g, nil)
 	if rep.First != resilience.DetectedCorrected {
-		t.Fatalf("gen checks on: first attempt %v, want detected-corrected", rep.First)
+		t.Fatalf("scrub on: first attempt %v, want detected-corrected", rep.First)
 	}
 	if rep.Attempts != 1 {
-		t.Fatalf("gen checks on: %d attempts, want 1 (detection needs no recovery)", rep.Attempts)
+		t.Fatalf("scrub on: %d attempts, want 1 (detection needs no recovery)", rep.Attempts)
 	}
 
-	unchecked := checked
-	unchecked.Config.DisableLineBufGenCheck = true
-	g2, err := resilience.RunGolden(unchecked, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep = resilience.RunOne(unchecked, faults.SiteLineBuf, rate, seed, pol, g2, nil)
+	unscrubbed := scrubbed
+	unscrubbed.Config.Faults.DisableDirScrub = true
+	rep = resilience.RunOne(unscrubbed, faults.SiteDirectory, rate, seed, pol, g, nil)
 	if rep.First != resilience.SilentDataCorruption {
-		t.Fatalf("gen checks off: first attempt %v, want silent-data-corruption", rep.First)
+		t.Fatalf("scrub off: first attempt %v, want silent-data-corruption", rep.First)
 	}
 	if !rep.Recovered() {
 		t.Fatalf("SDC not recovered within budget: %+v", rep)
@@ -180,29 +177,5 @@ func TestWedgedRunnerCancelled(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines leaked: %d > baseline %d", n, baseline)
-	}
-}
-
-// TestLineBufferNeutralUnderSPFaults (fault × line-buffer interaction):
-// injected scratchpad parity degradations drop vertices to the cache
-// hierarchy on every core; the same-line fast path must stay bit-neutral
-// through that — never replaying a memo from before the degradation.
-func TestLineBufferNeutralUnderSPFaults(t *testing.T) {
-	o := campaignOpts()
-	run := func(disableLineBuf bool) core.MachineStats {
-		w := CampaignFor(o).Workload
-		cfg := w.Config
-		cfg.DisableLineBuffer = disableLineBuf
-		cfg.Faults = faults.Config{Seed: 5, SPParityRate: 1e-2}
-		m := core.NewMachine(cfg)
-		st, _ := w.Run(ligra.New(m, w.Graph))
-		return st
-	}
-	on, off := run(false), run(true)
-	if on.SPDegraded == 0 {
-		t.Fatal("parity rate 1e-2 degraded nothing — interaction test is vacuous")
-	}
-	if !bytes.Equal(statsJSON(t, on), statsJSON(t, off)) {
-		t.Fatal("line buffer changed stats under scratchpad parity faults")
 	}
 }

@@ -95,14 +95,6 @@ type Config struct {
 	// directory site.
 	DisableDirScrub bool
 
-	// LineBufFlipRate is the per-install probability that a core's
-	// line-buffer memo is corrupted (stale latency bits). The memo's
-	// generation tag is scrambled along with it, so the generation check
-	// rejects the entry on its next lookup; the core.Config knob
-	// DisableLineBufGenCheck models hardware without the check, where the
-	// corrupt memo replays silently.
-	LineBufFlipRate float64
-
 	// ALUFlipRate is the per-offload probability that a PISC ALU result
 	// suffers a transient single-bit flip. Unlike every other site this
 	// one is functional: the corrupted value lands in the vtxProp array
@@ -113,7 +105,7 @@ type Config struct {
 // Enabled reports whether any fault class has a non-zero rate.
 func (c Config) Enabled() bool {
 	return c.DRAMFlipRate > 0 || c.NoCDropRate > 0 || c.SPParityRate > 0 ||
-		c.DirFlipRate > 0 || c.LineBufFlipRate > 0 || c.ALUFlipRate > 0
+		c.DirFlipRate > 0 || c.ALUFlipRate > 0
 }
 
 // Validate checks rates and bounds.
@@ -134,7 +126,6 @@ func (c Config) Validate() error {
 		{"NoCDropRate", c.NoCDropRate},
 		{"SPParityRate", c.SPParityRate},
 		{"DirFlipRate", c.DirFlipRate},
-		{"LineBufFlipRate", c.LineBufFlipRate},
 		{"ALUFlipRate", c.ALUFlipRate},
 	} {
 		if err := check(p.name, p.v); err != nil {
@@ -205,10 +196,6 @@ type Events struct {
 	DirFlips        uint64 // injected entry tag flips
 	DirScrubRepairs uint64 // corrupt entries erased by the scrubber
 
-	// Line-buffer memo corruption.
-	LineBufFlips      uint64 // injected memo corruptions
-	LineBufGenCatches uint64 // corrupt memos rejected by generation checks
-
 	// PISC ALU transients (functional — corrupts algorithm outputs).
 	ALUFlips uint64
 }
@@ -217,7 +204,7 @@ type Events struct {
 func (e Events) Total() uint64 {
 	return e.DRAMCorrected + e.DRAMDetected + e.DRAMSilent +
 		e.NoCDropped + e.SPParityErrors +
-		e.DirFlips + e.LineBufFlips + e.ALUFlips
+		e.DirFlips + e.ALUFlips
 }
 
 // Detected returns the count of fault events the machine's checkers
@@ -225,7 +212,7 @@ func (e Events) Total() uint64 {
 // with Detected > 0 and correct outputs as detected-corrected.
 func (e Events) Detected() uint64 {
 	return e.DRAMCorrected + e.DRAMDetected + e.NoCDropped +
-		e.SPParityErrors + e.DirScrubRepairs + e.LineBufGenCatches
+		e.SPParityErrors + e.DirScrubRepairs
 }
 
 // Injector draws fault events for the three simulated memory paths. All
@@ -240,7 +227,6 @@ type Injector struct {
 	nocRand  *stats.Rand
 	spRand   *stats.Rand
 	dirRand  *stats.Rand
-	lbRand   *stats.Rand
 	aluRand  *stats.Rand
 
 	// seedSalt offsets the stream seeds; recovery re-executions bump it
@@ -257,7 +243,6 @@ const (
 	nocStream  = 0xC2B2AE3D27D4EB4F
 	spStream   = 0x165667B19E3779F9
 	dirStream  = 0x27D4EB2F165667C5
-	lbStream   = 0x85EBCA77C2B2AE63
 	aluStream  = 0xFF51AFD7ED558CCD
 )
 
@@ -275,7 +260,6 @@ func New(cfg Config) *Injector {
 		nocRand:  &stats.Rand{},
 		spRand:   &stats.Rand{},
 		dirRand:  &stats.Rand{},
-		lbRand:   &stats.Rand{},
 		aluRand:  &stats.Rand{},
 	}
 	in.seedStreams()
@@ -290,7 +274,6 @@ func (in *Injector) seedStreams() {
 	in.nocRand.Seed(base ^ nocStream)
 	in.spRand.Seed(base ^ spStream)
 	in.dirRand.Seed(base ^ dirStream)
-	in.lbRand.Seed(base ^ lbStream)
 	in.aluRand.Seed(base ^ aluStream)
 }
 
@@ -336,7 +319,7 @@ func (in *Injector) Reseed(salt uint64) {
 // State is an opaque injector checkpoint: stream cursors, salt, and the
 // event log.
 type State struct {
-	cursors [6][2]uint64
+	cursors [5][2]uint64
 	salt    uint64
 	ev      Events
 }
@@ -367,9 +350,9 @@ func (in *Injector) Restore(s State) {
 	in.ev = s.ev
 }
 
-func (in *Injector) streams() [6]*stats.Rand {
-	return [6]*stats.Rand{in.dramRand, in.nocRand, in.spRand,
-		in.dirRand, in.lbRand, in.aluRand}
+func (in *Injector) streams() [5]*stats.Rand {
+	return [5]*stats.Rand{in.dramRand, in.nocRand, in.spRand,
+		in.dirRand, in.aluRand}
 }
 
 // DRAMRead draws the ECC outcome for one DRAM line read whose device
@@ -481,28 +464,6 @@ func (in *Injector) NoteDirScrubRepairs(n int) {
 		return
 	}
 	in.ev.DirScrubRepairs += uint64(n)
-}
-
-// LineBufFlip draws one line-buffer-site event: on a hit it returns a raw
-// selector for which latency bit of the freshly installed memo to flip.
-func (in *Injector) LineBufFlip() (bitSel uint64, ok bool) {
-	if in == nil || in.cfg.LineBufFlipRate <= 0 {
-		return 0, false
-	}
-	if in.lbRand.Float64() >= in.cfg.LineBufFlipRate {
-		return 0, false
-	}
-	in.ev.LineBufFlips++
-	return in.lbRand.Uint64(), true
-}
-
-// NoteLineBufGenCatch records a corrupt memo rejected by the generation
-// check (the detection arm of the line-buffer site).
-func (in *Injector) NoteLineBufGenCatch() {
-	if in == nil {
-		return
-	}
-	in.ev.LineBufGenCatches++
 }
 
 // ALUFlip draws one PISC ALU transient: on a hit it returns a single-bit

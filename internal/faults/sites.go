@@ -19,8 +19,6 @@ const (
 	SiteSPParity
 	// SiteDirectory injects coherence-directory probe-table tag flips.
 	SiteDirectory
-	// SiteLineBuf injects per-core line-buffer memo corruption.
-	SiteLineBuf
 	// SiteALU injects PISC ALU transient result flips (functional).
 	SiteALU
 
@@ -47,8 +45,6 @@ func (s Site) String() string {
 		return "sp-parity"
 	case SiteDirectory:
 		return "directory"
-	case SiteLineBuf:
-		return "linebuf"
 	case SiteALU:
 		return "pisc-alu"
 	}
@@ -77,17 +73,14 @@ func (s Site) Apply(c *Config, rate float64) {
 		c.SPParityRate = rate
 	case SiteDirectory:
 		c.DirFlipRate = rate
-	case SiteLineBuf:
-		c.LineBufFlipRate = rate
 	case SiteALU:
 		c.ALUFlipRate = rate
 	}
 }
 
 // ParseSiteConfig parses the -fault-site syntax: a comma-separated list
-// of "site:rate" pairs, e.g. "directory:1e-3,linebuf:1e-4". Site names
-// are those of Site.String (dram, noc, sp-parity, directory, linebuf,
-// pisc-alu). The returned Config carries only the listed rates; the
+// of "site:rate" pairs, e.g. "directory:1e-3,pisc-alu:1e-4". Site names
+// are those of Site.String (dram, noc, sp-parity, directory, pisc-alu). The returned Config carries only the listed rates; the
 // caller sets Seed. The empty string yields a zero (disabled) Config.
 func ParseSiteConfig(spec string) (Config, error) {
 	var c Config

@@ -21,8 +21,10 @@ func TestSiteNamesRoundTrip(t *testing.T) {
 			t.Fatalf("SiteByName(%q) = %v,%v", name, got, ok)
 		}
 	}
-	if _, ok := SiteByName("nonsense"); ok {
-		t.Fatal("unknown name resolved")
+	for _, name := range []string{"nonsense", "linebuf"} {
+		if _, ok := SiteByName(name); ok {
+			t.Fatalf("unknown name %q resolved", name)
+		}
 	}
 }
 
@@ -37,7 +39,7 @@ func TestSiteApplyIsolated(t *testing.T) {
 			t.Fatalf("site %v: Apply(0.25) left config disabled", s)
 		}
 		rates := []float64{c.DRAMFlipRate, c.NoCDropRate, c.SPParityRate,
-			c.DirFlipRate, c.LineBufFlipRate, c.ALUFlipRate}
+			c.DirFlipRate, c.ALUFlipRate}
 		nonzero := 0
 		for _, r := range rates {
 			if r != 0 {
@@ -54,14 +56,14 @@ func TestSiteApplyIsolated(t *testing.T) {
 }
 
 func TestParseSiteConfig(t *testing.T) {
-	c, err := ParseSiteConfig("directory:1e-3, linebuf:1e-4")
+	c, err := ParseSiteConfig("directory:1e-3, pisc-alu:1e-4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.DirFlipRate != 1e-3 || c.LineBufFlipRate != 1e-4 {
+	if c.DirFlipRate != 1e-3 || c.ALUFlipRate != 1e-4 {
 		t.Fatalf("parsed rates wrong: %+v", c)
 	}
-	if c.DRAMFlipRate != 0 || c.ALUFlipRate != 0 {
+	if c.DRAMFlipRate != 0 || c.NoCDropRate != 0 {
 		t.Fatalf("unlisted sites got rates: %+v", c)
 	}
 	if c, err := ParseSiteConfig("  "); err != nil || c.Enabled() {
@@ -71,6 +73,7 @@ func TestParseSiteConfig(t *testing.T) {
 		"directory",           // no rate
 		"directory:",          // empty rate
 		"mars:1e-3",           // unknown site
+		"linebuf:1e-4",        // not a fault site
 		"dram:1e-3,dram:1e-4", // duplicate
 		"dram:2",              // rate > 1
 		"dram:-0.1",           // negative
@@ -83,11 +86,10 @@ func TestParseSiteConfig(t *testing.T) {
 	}
 }
 
-// TestNewSiteDrawsDeterministic: the directory, line-buffer, and ALU
-// streams must replay identically for one (seed, rate) and diverge under
+// TestNewSiteDrawsDeterministic: the directory and ALU streams must replay identically for one (seed, rate) and diverge under
 // Reseed — the property recovery re-execution relies on.
 func TestNewSiteDrawsDeterministic(t *testing.T) {
-	cfg := Config{Seed: 3, DirFlipRate: 0.2, LineBufFlipRate: 0.2, ALUFlipRate: 0.2}
+	cfg := Config{Seed: 3, DirFlipRate: 0.2, ALUFlipRate: 0.2}
 	type draw struct {
 		a, b uint64
 		ok   bool
@@ -97,8 +99,6 @@ func TestNewSiteDrawsDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s, b, ok := in.DirFlip()
 			out = append(out, draw{s, b, ok})
-			b, ok = in.LineBufFlip()
-			out = append(out, draw{b, 0, ok})
 			m, ok := in.ALUFlip()
 			out = append(out, draw{m, 0, ok})
 		}
@@ -124,10 +124,10 @@ func TestNewSiteDrawsDeterministic(t *testing.T) {
 	ev := New(cfg)
 	sample(ev)
 	e := ev.Events()
-	if e.DirFlips == 0 || e.LineBufFlips == 0 || e.ALUFlips == 0 {
+	if e.DirFlips == 0 || e.ALUFlips == 0 {
 		t.Fatalf("rate 0.2 over 200 draws fired nothing: %+v", e)
 	}
-	for _, m := range []uint64{e.DirFlips, e.LineBufFlips, e.ALUFlips} {
+	for _, m := range []uint64{e.DirFlips, e.ALUFlips} {
 		if m > 200 {
 			t.Fatalf("event count %d exceeds draw count", m)
 		}
@@ -138,7 +138,7 @@ func TestNewSiteDrawsDeterministic(t *testing.T) {
 // replay the exact post-checkpoint event sequence — the machine-level
 // Snapshot/Restore contract depends on it.
 func TestSnapshotRestoreReplaysDraws(t *testing.T) {
-	cfg := Config{Seed: 9, DirFlipRate: 0.3, LineBufFlipRate: 0.3, ALUFlipRate: 0.3}
+	cfg := Config{Seed: 9, DirFlipRate: 0.3, ALUFlipRate: 0.3}
 	in := New(cfg)
 	for i := 0; i < 50; i++ { // advance the streams off their seed state
 		in.DirFlip()
@@ -149,7 +149,7 @@ func TestSnapshotRestoreReplaysDraws(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m, _ := in.ALUFlip()
 		first = append(first, m)
-		b, _ := in.LineBufFlip()
+		_, b, _ := in.DirFlip()
 		first = append(first, b)
 	}
 	evFirst := in.Events()
@@ -159,7 +159,7 @@ func TestSnapshotRestoreReplaysDraws(t *testing.T) {
 		if i%2 == 0 {
 			got, _ = in.ALUFlip()
 		} else {
-			got, _ = in.LineBufFlip()
+			_, got, _ = in.DirFlip()
 		}
 		if got != want {
 			t.Fatalf("draw %d after restore: got %d want %d", i, got, want)
@@ -175,14 +175,10 @@ func TestNilInjectorSiteDraws(t *testing.T) {
 	if _, _, ok := in.DirFlip(); ok {
 		t.Fatal("nil DirFlip fired")
 	}
-	if _, ok := in.LineBufFlip(); ok {
-		t.Fatal("nil LineBufFlip fired")
-	}
 	if _, ok := in.ALUFlip(); ok {
 		t.Fatal("nil ALUFlip fired")
 	}
 	in.NoteDirScrubRepairs(3)
-	in.NoteLineBufGenCatch()
 	in.Reseed(1)
 	in.Restore(State{})
 	if in.Snapshot() != (State{}) {
@@ -194,7 +190,7 @@ func TestNilInjectorSiteDraws(t *testing.T) {
 // spec it accepts must produce a Config that validates and survives a
 // rate-preserving reformat.
 func FuzzParseSiteConfig(f *testing.F) {
-	f.Add("directory:1e-3,linebuf:1e-4")
+	f.Add("directory:1e-3,pisc-alu:1e-4")
 	f.Add("dram:0.5")
 	f.Add("pisc-alu:1,noc:0,sp-parity:1e-9")
 	f.Add("")

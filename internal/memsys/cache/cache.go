@@ -76,13 +76,11 @@ type Cache struct {
 
 	// hotLine/hotIdx memoize the line of the most recent read hit so a
 	// streaming run of reads to the same 64 B line skips the set probe
-	// (SameLineReadHit); hotIdx is -1 when no memo is armed. gen
-	// invalidates the memo — and any caller-side buffer keyed on Gen() —
-	// whenever the memoized line's identity could have changed: an
+	// (SameLineReadHit); hotIdx is -1 when no memo is armed. The memo is
+	// dropped whenever the memoized line's identity could have changed: an
 	// eviction or invalidation of that line, or a Reset.
 	hotLine memsys.Addr
 	hotIdx  int
-	gen     uint64
 
 	// Stats
 	Reads      stats.Ratio // read hits/total
@@ -188,23 +186,11 @@ func (c *Cache) Lookup(a memsys.Addr) bool {
 // LookupAt is Lookup over a pre-resolved Ref.
 func (c *Cache) LookupAt(r Ref) bool { return c.findIdx(r.base, r.key) >= 0 }
 
-// Gen returns the cache's line-buffer generation. It advances whenever a
-// line's identity may have changed (fill-evict, invalidation, Reset), so
-// callers can memoize "addr hits this cache" results keyed on (line, Gen)
-// and be guaranteed a stale memo never validates.
-func (c *Cache) Gen() uint64 { return c.gen }
-
-// dropHot invalidates the same-line memo and advances the generation.
-func (c *Cache) dropHot() {
-	c.hotIdx = -1
-	c.gen++
-}
-
-// DropHot force-invalidates the same-line memo and advances the
-// generation. It exists for events outside the cache's own view — fault
-// degrades, scratchpad reconfiguration — that must conservatively kill
-// caller-side line buffers keyed on Gen().
-func (c *Cache) DropHot() { c.dropHot() }
+// DropHot force-invalidates the same-line memo. It exists for events
+// outside the cache's own view — iteration boundaries, scratchpad
+// reconfiguration, fault degrades — after which the machine
+// conservatively re-probes instead of trusting the memo.
+func (c *Cache) DropHot() { c.hotIdx = -1 }
 
 // SameLineReadHit is the same-line fast path: if addr falls in the line of
 // the most recent read hit and that line is provably untouched since (the
@@ -280,7 +266,7 @@ func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
 
 // ArmHot re-seeds the same-line memo with a (line, way) pair the caller
 // has validated via PresentAt — the state a hitting AccessStreamRead of
-// that line would have left. It touches no counters and no generation.
+// that line would have left. It touches no counters.
 func (c *Cache) ArmHot(a memsys.Addr, idx int) {
 	c.hotLine = memsys.LineAddr(a)
 	c.hotIdx = idx
@@ -422,7 +408,7 @@ func (c *Cache) fillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, ins
 		victim = EvictedLine{Addr: c.reconstruct(r.set, t-1), Dirty: d}
 		idx := r.base + w
 		if idx == c.hotIdx {
-			c.dropHot()
+			c.hotIdx = -1
 		}
 		tags[w] = r.key
 		bit := uint64(1) << uint(w)
@@ -500,8 +486,8 @@ func (c *Cache) install(r Ref, dirty bool) (victim EvictedLine, evicted bool, in
 	if idx == c.hotIdx {
 		// Reached on eviction of the memoized way; for free ways the memo
 		// can never point here (it never points at an invalid way), but
-		// the check keeps the generation contract unconditional.
-		c.dropHot()
+		// the check keeps the drop unconditional.
+		c.hotIdx = -1
 	}
 	// The installed way is never pinned (pinned valid ways are excluded
 	// from victim selection and pin implies valid), so no pin update is
@@ -559,7 +545,7 @@ func (c *Cache) Invalidate(a memsys.Addr) (present, dirty bool) {
 func (c *Cache) InvalidateAt(r Ref) (present, dirty bool) {
 	if i := c.findIdx(r.base, r.key); i >= 0 {
 		if i == c.hotIdx {
-			c.dropHot()
+			c.hotIdx = -1
 		}
 		m := &c.meta[r.set]
 		bit := uint64(1) << uint(i-r.base)
@@ -587,14 +573,13 @@ func (c *Cache) HitRate() float64 {
 }
 
 // State is an opaque cache checkpoint: contents, replacement state, the
-// same-line memo, the generation, and statistics.
+// same-line memo, and statistics.
 type State struct {
 	slab     []uint64
 	meta     []setMeta
 	useClock uint64
 	hotLine  memsys.Addr
 	hotIdx   int
-	gen      uint64
 
 	reads, writes         stats.Ratio
 	evictions, writebacks stats.Counter
@@ -608,7 +593,6 @@ func (c *Cache) Snapshot() State {
 		useClock:   c.useClock,
 		hotLine:    c.hotLine,
 		hotIdx:     c.hotIdx,
-		gen:        c.gen,
 		reads:      c.Reads,
 		writes:     c.Writes,
 		evictions:  c.Evictions,
@@ -624,17 +608,15 @@ func (c *Cache) Restore(s State) {
 	c.useClock = s.useClock
 	c.hotLine = s.hotLine
 	c.hotIdx = s.hotIdx
-	c.gen = s.gen
 	c.Reads = s.reads
 	c.Writes = s.writes
 	c.Evictions = s.evictions
 	c.Writebacks = s.writebacks
 }
 
-// Reset clears contents and statistics. The line-buffer generation is NOT
-// reset — it advances, so memos taken before the Reset can never validate.
+// Reset clears contents, statistics, and the same-line memo.
 func (c *Cache) Reset() {
-	c.dropHot()
+	c.hotIdx = -1
 	clear(c.slab)
 	allFree := c.waysMask()
 	for i := range c.meta {

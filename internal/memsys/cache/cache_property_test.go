@@ -54,6 +54,19 @@ func (r *refCache) access(a memsys.Addr, write bool) bool {
 	return false
 }
 
+// invalidate drops the line if present, returning presence and dirtiness.
+func (r *refCache) invalidate(a memsys.Addr) (present, dirty bool) {
+	set, tag := r.locate(a)
+	lines := r.sets[set]
+	for i, l := range lines {
+		if l.tag == tag {
+			r.sets[set] = append(lines[:i], lines[i+1:]...)
+			return true, l.dirty
+		}
+	}
+	return false, false
+}
+
 // fill installs a line, evicting LRU if needed; returns the victim tag.
 func (r *refCache) fill(a memsys.Addr, dirty bool) (victimAddr memsys.Addr, evicted bool) {
 	set, tag := r.locate(a)
@@ -89,9 +102,15 @@ func (r *refCache) fill(a memsys.Addr, dirty bool) (victimAddr memsys.Addr, evic
 	return victimAddr, evicted
 }
 
-// TestCacheMatchesReferenceModel drives random access/fill traces through
-// the real cache and the executable spec and requires identical hit/miss
-// and eviction behaviour.
+// TestCacheMatchesReferenceModel drives random operation traces through
+// the real cache and the executable spec and requires identical hit/miss,
+// eviction and invalidation behaviour. The trace mixes the plain probe
+// with the streaming operations that arm the same-line memo
+// (AccessStreamRead, FillStream) and with memo lookups (SameLineReadHit)
+// aimed mostly at the last streamed line. The spec has no memo: a memo
+// hit must be a read hit there too (and is replayed into its LRU order,
+// so later victims keep agreeing), and a refusal must leave no trace in
+// the real cache's use clock or read counters.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRand(seed)
@@ -99,26 +118,79 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		ways := []int{1, 2, 4}[r.Intn(3)]
 		real := New(Config{SizeBytes: sizeBytes, Ways: ways, LatencyCycles: 1, Name: "p"})
 		ref := newRefCache(sizeBytes, ways)
+		var streamed memsys.Addr // address of the last streaming operation
+		var readHits uint64      // read hits the spec has seen
+		fail := func(i int, format string, args ...any) bool {
+			t.Logf("seed %d step %d: "+format, append([]any{seed, i}, args...)...)
+			return false
+		}
+		fill := func(i int, a memsys.Addr, write, stream bool) bool {
+			var gotV EvictedLine
+			var gotEv bool
+			if stream {
+				gotV, gotEv = real.FillStream(a, write)
+			} else {
+				gotV, gotEv = real.Fill(a, write)
+			}
+			wantV, wantEv := ref.fill(a, write)
+			if gotEv != wantEv {
+				return fail(i, "evicted %v, ref %v", gotEv, wantEv)
+			}
+			if gotEv && gotV.Addr != wantV {
+				return fail(i, "victim %#x, ref %#x", gotV.Addr, wantV)
+			}
+			return true
+		}
 		for i := 0; i < 3000; i++ {
 			a := memsys.Addr(r.Intn(1 << 14))
-			write := r.Intn(3) == 0
-			gotHit := real.Access(a, write)
-			wantHit := ref.access(a, write)
-			if gotHit != wantHit {
-				t.Logf("seed %d step %d addr %#x: hit %v, ref %v", seed, i, a, gotHit, wantHit)
-				return false
+			switch op := r.Intn(8); {
+			case op < 4: // plain probe, fill on miss
+				write := r.Intn(3) == 0
+				gotHit := real.Access(a, write)
+				wantHit := ref.access(a, write)
+				if gotHit != wantHit {
+					return fail(i, "addr %#x: hit %v, ref %v", a, gotHit, wantHit)
+				}
+				if gotHit && !write {
+					readHits++
+				}
+				if !gotHit && !fill(i, a, write, false) {
+					return false
+				}
+			case op < 6: // streaming read, streaming fill on miss
+				streamed = a
+				gotHit := real.AccessStreamRead(a)
+				wantHit := ref.access(a, false)
+				if gotHit != wantHit {
+					return fail(i, "stream addr %#x: hit %v, ref %v", a, gotHit, wantHit)
+				}
+				if gotHit {
+					readHits++
+				} else if !fill(i, a, false, true) {
+					return false
+				}
+			case op < 7: // memo lookup, mostly on the last streamed line
+				if r.Intn(4) != 0 {
+					a = memsys.LineAddr(streamed) + memsys.Addr(r.Intn(memsys.LineSize))
+				}
+				clock, reads := real.useClock, real.Reads
+				if real.SameLineReadHit(a) {
+					if !ref.access(a, false) {
+						return fail(i, "memo hit on %#x, absent in ref", a)
+					}
+					readHits++
+				} else if real.useClock != clock || real.Reads != reads {
+					return fail(i, "memo refusal on %#x left a trace", a)
+				}
+			default: // invalidation
+				gotP, gotD := real.Invalidate(a)
+				wantP, wantD := ref.invalidate(a)
+				if gotP != wantP || gotD != wantD {
+					return fail(i, "invalidate %#x: (%v,%v), ref (%v,%v)", a, gotP, gotD, wantP, wantD)
+				}
 			}
-			if !gotHit {
-				gotV, gotEv := real.Fill(a, write)
-				wantV, wantEv := ref.fill(a, write)
-				if gotEv != wantEv {
-					t.Logf("seed %d step %d: evicted %v, ref %v", seed, i, gotEv, wantEv)
-					return false
-				}
-				if gotEv && gotV.Addr != wantV {
-					t.Logf("seed %d step %d: victim %#x, ref %#x", seed, i, gotV.Addr, wantV)
-					return false
-				}
+			if real.Reads.Hits != readHits {
+				return fail(i, "read hits %d, ref %d", real.Reads.Hits, readHits)
 			}
 		}
 		return true

@@ -33,8 +33,8 @@ const (
 	// and no fault event fired (or none landed anywhere observable).
 	Clean Outcome = iota
 	// DetectedCorrected: faults fired and were caught by a detection
-	// mechanism (ECC, NoC retransmission, parity, directory scrub, line
-	// buffer generation check) without degrading results.
+	// mechanism (ECC, NoC retransmission, parity, directory scrub)
+	// without degrading results.
 	DetectedCorrected
 	// DetectedDegraded: faults were detected but left permanent damage
 	// the run worked around — scratchpad lines degraded to the cache
@@ -95,7 +95,9 @@ func DefaultPolicy() Policy {
 type Workload struct {
 	// Name labels the workload in reports.
 	Name string
-	// Config is the machine configuration (fault rates zero).
+	// Config is the machine configuration (fault rates zero). Its fault
+	// model settings (Faults.DisableDirScrub, DirScrubCycles, ...) carry
+	// into every injected run; RunOne sets only the seed and one rate.
 	Config core.Config
 	// Graph is the prepared input graph (shared read-only).
 	Graph *graph.Graph
@@ -202,7 +204,8 @@ func (r RunReport) Recovered() bool { return r.First.failed() && !r.Final.failed
 // up to MaxRetries times.
 func RunOne(w Workload, site faults.Site, rate float64, seed uint64, p Policy, g *Golden, ctx context.Context) RunReport {
 	cfg := w.Config
-	fc := faults.Config{Seed: seed}
+	fc := w.Config.Faults
+	fc.Seed = seed
 	site.Apply(&fc, rate)
 	cfg.Faults = fc
 	m := core.NewMachine(cfg)

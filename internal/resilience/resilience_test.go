@@ -155,7 +155,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}
 	// The same drift WITH a detection is accounted detected-corrected:
 	// detected faults legitimately change timing.
-	drift.Faults.LineBufGenCatches = 1
+	drift.Faults.DirScrubRepairs = 1
 	if got := classify(drift, out, g, tol); got != DetectedCorrected {
 		t.Fatalf("detected timing drift classified %v", got)
 	}
