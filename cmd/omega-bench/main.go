@@ -8,8 +8,7 @@
 // cross-experiment simulation-cell cache (DESIGN.md §12) additionally
 // dedups identical (machine config, dataset, workload) simulations
 // across experiments — disable with -no-cell-cache, inspect with
-// -cell-stats. With -sched-hints, per-experiment wall times from the
-// previous run schedule the pool longest-job-first.
+// -cell-stats.
 // Output ordering is unchanged from the sequential harness: tables are
 // flushed in registry order as soon as every earlier experiment has
 // finished, and live per-experiment progress goes to stderr.
@@ -34,7 +33,6 @@
 //	omega-bench -no-cell-cache      # re-simulate every cell (perf A/B)
 //	omega-bench -cell-stats         # cell-cache hit/dedup breakdown
 //	omega-bench -compare old.json   # min/mean deltas vs a prior bench JSON
-//	omega-bench -sched-hints h.json # longest-job-first suite scheduling
 //	omega-bench -cpuprofile cpu.out # profile the suite (go tool pprof)
 //	omega-bench -memprofile mem.out # end-of-suite heap profile
 //	omega-bench -trace exec.trace   # execution trace (go tool trace)
@@ -82,13 +80,11 @@ func run() error {
 		htmlPath = flag.String("html", "", "write a self-contained HTML report")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-experiment watchdog timeout (0 disables)")
 		serialVr = flag.Bool("serial-variants", false, "run machine variants inside each experiment sequentially (identical tables)")
-		noBatch  = flag.Bool("no-batch", false, "disable run-fold access batching on every machine (identical tables; for equivalence checks and perf A/B)")
 		runs     = flag.Int("runs", 1, "repeat the suite N times and report per-run wall times (tables print once)")
 		benchOut = flag.String("bench-json", "", "write the -runs timing report as JSON to this file")
 		compare  = flag.String("compare", "", "compare the timing report against a previous bench JSON file")
 		noCells  = flag.Bool("no-cell-cache", false, "disable the cross-experiment simulation-cell cache (identical tables; for equivalence checks and perf A/B)")
 		cellStat = flag.Bool("cell-stats", false, "print a detailed cell-cache report after the suite")
-		hintPath = flag.String("sched-hints", "", "JSON file of per-experiment wall-time hints for longest-job-first scheduling (read if present, rewritten after the run)")
 		campaign = flag.Bool("campaign", false, "run only the Resilience R2 fault campaign")
 		faultSd  = flag.Uint64("fault-seed", 1, "base seed for resilience fault-injection streams")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
@@ -161,17 +157,10 @@ func run() error {
 		Scale: *scale, Seed: *seed, Coverage: *coverage,
 		Parallelism: *parallel, Timeout: *timeout,
 		SerialVariants: *serialVr, FaultSeed: *faultSd,
-		SerialAccess: *noBatch, NoCellCache: *noCells,
+		NoCellCache: *noCells,
 	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1")
-	}
-	if *hintPath != "" {
-		hints, err := readSchedHints(*hintPath)
-		if err != nil {
-			return err
-		}
-		opts.SchedHints = hints
 	}
 	if *checkMet && *metrics == "" {
 		return fmt.Errorf("-check-metrics requires -metrics")
@@ -279,7 +268,6 @@ func run() error {
 			GOMAXPROCS:     runtime.GOMAXPROCS(0),
 			Parallelism:    *parallel,
 			Scale:          *scale,
-			NoBatch:        *noBatch,
 			NoCellCache:    *noCells,
 			SerialVariants: *serialVr,
 		}, walls)
@@ -299,12 +287,6 @@ func run() error {
 				return err
 			}
 		}
-	}
-	if *hintPath != "" {
-		if err := writeSchedHints(*hintPath, res.CostHints()); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *hintPath)
 	}
 	return nil
 }
@@ -395,46 +377,9 @@ func compareWarnings(old, cur benchJSON) []string {
 	diff("gomaxprocs", o.GOMAXPROCS, c.GOMAXPROCS)
 	diff("parallelism", o.Parallelism, c.Parallelism)
 	diff("scale", o.Scale, c.Scale)
-	diff("no_batch", o.NoBatch, c.NoBatch)
 	diff("no_cell_cache", o.NoCellCache, c.NoCellCache)
 	diff("serial_variants", o.SerialVariants, c.SerialVariants)
 	return warns
-}
-
-// readSchedHints loads the -sched-hints file: a JSON object mapping
-// experiment IDs to wall-time milliseconds. A missing file is not an
-// error (first run bootstraps it).
-func readSchedHints(path string) (map[string]time.Duration, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sched-hints: %w", err)
-	}
-	var ms map[string]int64
-	if err := json.Unmarshal(data, &ms); err != nil {
-		return nil, fmt.Errorf("sched-hints: %s: %w", path, err)
-	}
-	hints := make(map[string]time.Duration, len(ms))
-	for id, m := range ms {
-		hints[id] = time.Duration(m) * time.Millisecond
-	}
-	return hints, nil
-}
-
-// writeSchedHints persists this run's per-experiment wall times so the
-// next invocation can schedule longest-job-first.
-func writeSchedHints(path string, hints map[string]time.Duration) error {
-	ms := make(map[string]int64, len(hints))
-	for id, d := range hints {
-		ms[id] = d.Milliseconds()
-	}
-	data, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sched-hints: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // benchJSON is the -runs timing report, shaped like the repo's BENCH_*.json
@@ -457,7 +402,6 @@ type benchConfig struct {
 	GOMAXPROCS     int  `json:"gomaxprocs"`
 	Parallelism    int  `json:"parallelism"`
 	Scale          int  `json:"scale"`
-	NoBatch        bool `json:"no_batch"`
 	NoCellCache    bool `json:"no_cell_cache"`
 	SerialVariants bool `json:"serial_variants"`
 }

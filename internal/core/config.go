@@ -98,14 +98,6 @@ type Config struct {
 	// (all rates 0) disables injection entirely and is the default.
 	Faults faults.Config
 
-	// SerialAccess disables the run-fold batching of sequential streaming
-	// reads (DESIGN.md §11): every access takes the per-access path, one
-	// hierarchy consultation each. Results are bit-identical either way —
-	// the fold replays the per-access accounting exactly — so the knob
-	// exists as a kill switch (omega-bench -no-batch) and lets equivalence
-	// tests and benchmarks drive both paths on the same workload.
-	SerialAccess bool
-
 	// OpenMPChunk is the scheduling chunk size of the framework's
 	// parallel loops.
 	OpenMPChunk int

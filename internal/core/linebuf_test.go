@@ -14,14 +14,24 @@ import (
 // counters measure and the L1's same-line memo serves. The memo's
 // equivalence with a full probe is proven where the memo lives, by
 // TestCacheMatchesReferenceModel in internal/memsys/cache; here each
-// machine event that must (or must not) drop the memo is checked through
-// Cache.HotWay.
+// machine event that must (or must not) drop the memo is checked by its
+// observable effect: whether the next streaming read is a memo hit or a
+// full probe.
 
-// armed reports whether core's L1 same-line memo currently holds the line
-// of r[i], i.e. whether the next read of it would take the fast path.
-func armed(m *Machine, core int, r *Region, i int) bool {
-	m.flushFold()
-	return m.path.l1[core].HotWay(r.Addr(i)) >= 0
+// armed reads r[i] (a streaming region) on core and reports whether the
+// read was served by the L1's same-line memo (linebuf/hits advanced) or
+// took a full probe (linebuf/stores advanced). The read itself re-arms the
+// memo, so each call observes the state the preceding event left.
+func armed(t *testing.T, m *Machine, core int, r *Region, i int) bool {
+	t.Helper()
+	hits, stores := m.lbHits.Value(), m.lbStores.Value()
+	(&Ctx{m: m, core: core}).Read(r, i)
+	dh, ds := m.lbHits.Value()-hits, m.lbStores.Value()-stores
+	if dh+ds != 1 {
+		t.Fatalf("read of %s[%d] on core %d: %d memo hits, %d full probes; want exactly one",
+			r.Name, i, core, dh, ds)
+	}
+	return dh == 1
 }
 
 // TestLineBufferCoherenceWrite pins the cross-core write edge against
@@ -39,7 +49,7 @@ func TestLineBufferCoherenceWrite(t *testing.T) {
 	c0 := &Ctx{m: m, core: 0}
 	c1 := &Ctx{m: m, core: 1}
 	c0.Read(el, 0)
-	if !armed(m, 0, el, 0) {
+	if !armed(t, m, 0, el, 0) {
 		t.Fatal("read did not arm the same-line memo")
 	}
 	c1.Write(el, 0)
@@ -49,11 +59,10 @@ func TestLineBufferCoherenceWrite(t *testing.T) {
 	// The stale copy is still present in core 0's L1, so the memo must
 	// still be armed — dropping it here would desynchronize the fast
 	// path from the full probe's hit/miss outcome.
-	if !armed(m, 0, el, 0) {
+	hitsBefore := m.path.l1[0].Reads.Hits
+	if !armed(t, m, 0, el, 0) {
 		t.Fatal("memo died on a cross-core write; the full probe would still hit the stale L1 copy")
 	}
-	hitsBefore := m.path.l1[0].Reads.Hits
-	c0.Read(el, 0)
 	if m.path.l1[0].Reads.Hits != hitsBefore+1 {
 		t.Fatal("full-probe semantics changed: post-write read on the stale copy should hit L1")
 	}
@@ -71,23 +80,22 @@ func TestLineBufferIterationAndConfigEpochs(t *testing.T) {
 
 	c0.Read(el, 0)
 	c1.Read(el, 512)
-	if !armed(m, 0, el, 0) || !armed(m, 1, el, 512) {
+	if !armed(t, m, 0, el, 0) || !armed(t, m, 1, el, 512) {
 		t.Fatal("reads did not arm the same-line memos")
 	}
 	m.BeginIteration() // scratchpad InvalidateSrcBufs + memo drop
-	if armed(m, 0, el, 0) || armed(m, 1, el, 512) {
-		t.Fatal("memo survived BeginIteration")
+	if armed(t, m, 0, el, 0) || armed(t, m, 1, el, 512) {
+		t.Fatal("memo survived BeginIteration: the next read was not a full probe")
 	}
 
-	c0.Read(el, 0)
-	c1.Read(el, 512)
-	if !armed(m, 0, el, 0) || !armed(m, 1, el, 512) {
+	// The full probes above re-armed both memos.
+	if !armed(t, m, 0, el, 0) || !armed(t, m, 1, el, 512) {
 		t.Fatal("re-probe did not re-arm the same-line memos")
 	}
 	m.ConfigureGraph([]scratchpad.MonitorRegister{m.MonitorFor(vp)}, 4096,
 		pisc.StandardMicrocode("t", pisc.OpFPAdd, false, false))
-	if armed(m, 0, el, 0) || armed(m, 1, el, 512) {
-		t.Fatal("memo survived ConfigureGraph")
+	if armed(t, m, 0, el, 0) || armed(t, m, 1, el, 512) {
+		t.Fatal("memo survived ConfigureGraph: the next read was not a full probe")
 	}
 }
 
@@ -107,15 +115,15 @@ func TestLineBufferFaultDegrade(t *testing.T) {
 	}
 	c0 := &Ctx{m: m, core: 0}
 	c0.Read(el, 0)
-	if !armed(m, 0, el, 0) {
+	if !armed(t, m, 0, el, 0) {
 		t.Fatal("read did not arm the same-line memo")
 	}
 	c0.Read(vp, 0) // resident vertex, parity trips, degrade path runs
 	if m.Stats().SPDegraded == 0 {
 		t.Fatal("parity trip did not degrade the vertex")
 	}
-	if armed(m, 0, el, 0) {
-		t.Fatal("memo survived a fault degrade on the same core")
+	if armed(t, m, 0, el, 0) {
+		t.Fatal("memo survived a fault degrade on the same core: the next read was not a full probe")
 	}
 }
 
@@ -126,14 +134,13 @@ func TestLineBufferMachineReset(t *testing.T) {
 	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
 	c0 := &Ctx{m: m, core: 0}
 	c0.Read(el, 0)
-	if !armed(m, 0, el, 0) {
+	if !armed(t, m, 0, el, 0) {
 		t.Fatal("read did not arm the same-line memo")
 	}
 	m.Reset()
-	if armed(m, 0, el, 0) {
-		t.Fatal("memo survived Machine.Reset")
+	if armed(t, m, 0, el, 1) {
+		t.Fatal("memo survived Machine.Reset: the next read was not a full probe")
 	}
-	c0.Read(el, 1)
 	if m.lbHits.Value() != 0 || m.lbStores.Value() != 1 {
 		t.Fatalf("first read after Reset: %d memo hits, %d full probes; want 0, 1",
 			m.lbHits.Value(), m.lbStores.Value())

@@ -77,14 +77,6 @@ type Machine struct {
 	levelCount   [2 * memsys.NumLevels]uint64
 	levelLatency [2 * memsys.NumLevels]uint64
 
-	// fold is the run-fold batching state (runfold.go): deferred bulk
-	// accounting for runs of same-line streaming reads. foldEnabled and
-	// probeFold are the derived enables, recomputed whenever configuration
-	// or attached machinery changes (recomputeFold).
-	fold        runFold
-	foldEnabled bool
-	probeFold   bool
-
 	// sched is the ParallelForGrain scratch state (chunk cursors, per-core
 	// contexts, the clock-ordered core heap), reused across parallel
 	// regions so scheduling allocates nothing in steady state.
@@ -186,7 +178,6 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		m.hier = &baselineHier{m.path}
 	}
 	m.reg = buildRegistry(m)
-	m.recomputeFold()
 	return m, nil
 }
 
@@ -199,7 +190,6 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 // here, once, so a samples-only sink adds no per-access work and a nil
 // sink costs one nil check per hook site.
 func (m *Machine) AttachSink(s obs.Sink) {
-	m.flushFold()
 	m.sink = s
 	m.accSink = nil
 	m.spanSink = nil
@@ -212,10 +202,6 @@ func (m *Machine) AttachSink(s obs.Sink) {
 			m.spanSink = sp
 		}
 	}
-	// An AccessSink must see the expanded per-access stream with true
-	// per-access results, so run-fold batching turns itself off while one
-	// is attached (and back on when it detaches).
-	m.recomputeFold()
 }
 
 // SinkAttached reports whether a telemetry sink is attached.
@@ -223,12 +209,8 @@ func (m *Machine) SinkAttached() bool { return m.sink != nil }
 
 // Metrics returns the machine's metric registry: the live, read-only
 // view over every component's counters that samples are emitted from
-// and MachineStats is derived through. Any open fold window is flushed
-// first so the registry's view is complete.
-func (m *Machine) Metrics() *obs.Registry {
-	m.flushFold()
-	return m.reg
-}
+// and MachineStats is derived through.
+func (m *Machine) Metrics() *obs.Registry { return m.reg }
 
 // FaultEvents snapshots the injected-fault log (zero when injection is
 // disabled).
@@ -260,7 +242,6 @@ func (m *Machine) MonitorFor(r *Region) scratchpad.MonitorRegister {
 // are scratchpad-resident (0 on the baseline machine). The framework calls
 // this once per run, before the algorithm starts.
 func (m *Machine) ConfigureGraph(monitors []scratchpad.MonitorRegister, totalVertices int, mc pisc.Microcode) int {
-	m.flushFold()
 	m.dropHot()
 	if m.omega == nil {
 		if m.cfg.LockedLines {
@@ -328,7 +309,6 @@ func (m *Machine) VertexProfile() []uint64 { return m.vertexProfile }
 // — it cannot perturb simulation state.
 func (m *Machine) BeginIteration() {
 	m.checkCancelNow()
-	m.flushFold()
 	if m.sink != nil {
 		if n := m.iterations.Value(); n > 0 {
 			m.reg.Emit(m.sink, m.cfg.Name, n)
@@ -344,9 +324,7 @@ func (m *Machine) BeginIteration() {
 }
 
 // ElapsedCycles returns the max core clock — the simulated execution time.
-// Any open fold window is flushed first so deferred cycles are visible.
 func (m *Machine) ElapsedCycles() memsys.Cycles {
-	m.flushFold()
 	var mx memsys.Cycles
 	for _, c := range m.cores {
 		if c.Clock() > mx {
@@ -370,19 +348,6 @@ func (c *Ctx) Core() int { return c.core }
 func (c *Ctx) Exec(ops int) { c.m.cores[c.core].Exec(ops) }
 
 func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
-	if m := c.m; m.fold.active {
-		// A fold window is open. An eligible read (plain, non-src,
-		// streaming kind, same core) may defer into it; anything else —
-		// and any read tryFold cannot prove replayable — flushes the
-		// deferred accounting before simulating, so every real access
-		// observes fully settled clocks, LRU state, and counters.
-		if op == memsys.OpRead && !srcRead && r.Kind != memsys.KindVtxProp && c.core == m.fold.core {
-			if m.tryFold(r, i) {
-				return
-			}
-		}
-		m.flushFold()
-	}
 	a := memsys.Access{
 		Core:      c.core,
 		Addr:      r.Addr(i),
@@ -465,25 +430,10 @@ func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 	line := memsys.LineAddr(a.Addr)
 	if l1.SameLineReadHit(line) {
 		m.lbHits.Inc()
-		// Open a fold window (runfold.go): the next same-line read would
-		// replay this exact memo hit, so it can defer instead.
-		if m.foldEnabled {
-			m.openFold(a.Core, line, l1.HotWay(line), a.Kind)
-		}
 		return memsys.Result{Latency: l1.Latency(), Blocking: a.Dependent, Level: memsys.LevelL1}
 	}
 	res := m.hier.Access(core.Clock(), a)
 	m.lbStores.Inc()
-	// Open a fold window (runfold.go) for the memo the probe just armed —
-	// after a hit or a successful streaming fill alike, the next same-line
-	// read would be a memo hit. A rejected fill (fully pinned set) leaves
-	// the memo elsewhere and HotWay refuses, exactly as SameLineReadHit
-	// would.
-	if m.foldEnabled {
-		if way := l1.HotWay(line); way >= 0 {
-			m.openFold(a.Core, line, way, a.Kind)
-		}
-	}
 	return res
 }
 
@@ -588,10 +538,6 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 		i := k*chunk + s.itemInChunk[sel]
 		if i < n {
 			body(&s.ctxs[sel], i)
-			// Item boundary: settle any fold window the body opened before
-			// the heap re-seats the core by its clock (deferred cycles must
-			// be visible) and before another core runs.
-			m.flushFold()
 		}
 		s.itemInChunk[sel]++
 		if s.itemInChunk[sel] >= chunk || i+1 >= n {
@@ -670,7 +616,6 @@ func (m *Machine) Sequential(body func(ctx *Ctx)) {
 	start := m.cores[0].Clock()
 	m.seqCtx = Ctx{m: m, core: 0}
 	body(&m.seqCtx)
-	m.flushFold()
 	if m.spanSink != nil {
 		if end := m.cores[0].Clock(); end != start {
 			m.spanSink.Span(obs.Span{
@@ -685,7 +630,6 @@ func (m *Machine) Sequential(body func(ctx *Ctx)) {
 // Barrier drains every core's outstanding-miss window and aligns all
 // clocks to the maximum (bulk-synchronous region end).
 func (m *Machine) Barrier() {
-	m.flushFold()
 	var mx memsys.Cycles
 	for _, c := range m.cores {
 		c.DrainWindow()

@@ -112,7 +112,6 @@ func (s MachineStats) Speedup(other MachineStats) float64 {
 // number: BeginIteration(n+1) closes iteration n, so the end-of-run
 // flush closes the last iteration N — giving a complete 1..N series.
 func (m *Machine) Stats() MachineStats {
-	m.flushFold()
 	if m.sink != nil && !m.finalEmitted {
 		m.reg.Emit(m.sink, m.cfg.Name, m.iterations.Value())
 		m.finalEmitted = true
@@ -189,9 +188,6 @@ func (m *Machine) Stats() MachineStats {
 // Reset clears all simulation state (clocks, caches, stats), keeping the
 // configuration and allocations.
 func (m *Machine) Reset() {
-	// Discard, don't flush: the cleared machine's state is complete and
-	// deferred reads from before the reset must not leak into it.
-	m.resetFold()
 	for _, c := range m.cores {
 		c.Reset()
 	}

@@ -73,10 +73,6 @@ func (m *Machine) Snapshot() *MachineState {
 	if m.sched.busy {
 		panic("core: Snapshot inside a parallel region")
 	}
-	// Settle any fold window first: a checkpoint must capture fully
-	// applied state, so MachineState needs no fold fields and a restored
-	// machine starts with an empty window.
-	m.flushFold()
 	s := &MachineState{
 		dir:            m.path.dir.Snapshot(),
 		dram:           m.mem.Snapshot(),
@@ -145,9 +141,6 @@ func (m *Machine) Restore(s *MachineState) {
 	if len(s.cores) != len(m.cores) || s.hasOmega != (m.omega != nil) {
 		panic("core: Restore from a different machine shape")
 	}
-	// Discard, don't flush: deferred reads belong to the timeline being
-	// abandoned, and the snapshot was taken with an empty window.
-	m.resetFold()
 	for i, c := range m.cores {
 		c.Restore(s.cores[i])
 	}
@@ -232,7 +225,6 @@ func (m *Machine) DigestTrail() []uint64 {
 // overwhelming probability) identical simulated histories up to that
 // point; a mismatch pins the first corrupted iteration.
 func (m *Machine) StateDigest() uint64 {
-	m.flushFold()
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -251,18 +251,6 @@ func (c *Core) Mem(res memsys.Result) {
 	c.outstanding = append(c.outstanding, c.clock+res.Latency)
 }
 
-// FoldPipelined accounts n pipelined memory accesses in one step. A
-// pipelined access — Result.Latency at or below pipelinedThreshold — costs
-// exactly one retired instruction, one issue cycle, and one retiring
-// cycle; Mem's early return touches nothing else (no window, no stalls,
-// no frontend accrual). The machine's run-fold batching uses this to
-// replay a run of same-line L1 hits in bulk with bit-identical accounting.
-func (c *Core) FoldPipelined(n uint64) {
-	c.instructions += n
-	c.clock += memsys.Cycles(n)
-	c.breakdown.Retiring += memsys.Cycles(n)
-}
-
 // DrainWindow stalls until every outstanding access has completed; used at
 // parallel-region barriers.
 func (c *Core) DrainWindow() {

@@ -32,9 +32,9 @@ import (
 // CellKey identifies one deterministic simulation cell. Every input
 // that can influence the simulated numbers is part of the key: the
 // machine configuration in canonical encoding (including the fault
-// configuration and its seed, access-batching mode, and the machine
-// name that labels emitted samples), the dataset build key, and the
-// workload identity including its baked-in iteration schedule.
+// configuration and its seed, and the machine name that labels emitted
+// samples), the dataset build key, and the workload identity including
+// its baked-in iteration schedule.
 type CellKey struct {
 	// Config is core.Config.CanonicalKey() of the effective config.
 	Config string
@@ -342,14 +342,8 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 // when the cell is cacheable. run is the label stamped into the
 // requesting run's sample stream; it is NOT part of the cell identity —
 // cells store pre-stamp samples and each requester restamps, so call
-// sites with different labeling conventions share cells. SerialAccess
-// is applied to cfg before keying, so batched and per-access runs stay
-// distinct cache entries even though their results are bit-identical
-// (host-perf A/B must not share timings).
+// sites with different labeling conventions share cells.
 func runCellSkew(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (core.MachineStats, float64) {
-	if o.SerialAccess {
-		cfg.SerialAccess = true
-	}
 	o.cellStats.noteCell()
 	if o.Cells == nil {
 		return buildCellDirect(o, spec, pr, cfg, run)

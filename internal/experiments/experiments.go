@@ -49,13 +49,6 @@ type Options struct {
 	// identical either way; the switch exists for debugging and for
 	// single-CPU environments where the fan-out buys nothing.
 	SerialVariants bool
-	// SerialAccess disables run-fold access batching (DESIGN.md §11) on
-	// every machine the experiments build, forcing the per-access path
-	// for each simulated load. Results are bit-identical either way —
-	// the fold's whole contract — so the switch exists for equivalence
-	// testing and host-performance A/B measurement (omega-bench
-	// -no-batch).
-	SerialAccess bool
 	// Datasets memoizes graph construction across runners so experiments
 	// sharing a (generator, scale, seed, reorder) tuple build the graph
 	// once. Nil means every runner generates its graphs from scratch.
@@ -73,13 +66,6 @@ type Options struct {
 	// identical either way; the switch exists for equivalence checks and
 	// honest perf A/B measurement.
 	NoCellCache bool
-	// SchedHints, when non-empty, lets Suite dispatch experiments
-	// longest-expected-first (keyed by spec ID, e.g. a prior run's
-	// telemetry via SuiteResult.CostHints) so one late-scheduled heavy
-	// experiment cannot serialize the pool's tail. Experiments without a
-	// hint dispatch first in declaration order; result order is
-	// unaffected either way.
-	SchedHints map[string]time.Duration
 	// Metrics, when set, receives the per-iteration metric samples of
 	// every machine the experiments build, stamped with the experiment ID
 	// and a run label (dataset or algorithm/dataset). Samples arrive
@@ -423,9 +409,6 @@ func rawDataset(ds Dataset, o Options, weighted bool) *graph.Graph {
 // given run label (machine name distinguishes baseline/omega within a
 // run). Neither attachment perturbs simulation results.
 func (o Options) newMachine(cfg core.Config, run string) *core.Machine {
-	if o.SerialAccess {
-		cfg.SerialAccess = true
-	}
 	m := core.NewMachine(cfg)
 	m.AttachContext(o.ctx)
 	if o.sink != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -70,17 +69,6 @@ type SuiteResult struct {
 	// Cells is the simulation-cell cache the suite ran with (nil when the
 	// cache was disabled via Options.NoCellCache).
 	Cells *CellCache
-}
-
-// CostHints extracts per-experiment wall-clock telemetry in the shape
-// Options.SchedHints consumes, so one suite run's timings can schedule
-// the next (longest-job-first).
-func (r *SuiteResult) CostHints() map[string]time.Duration {
-	h := make(map[string]time.Duration, len(r.Telemetry))
-	for _, te := range r.Telemetry {
-		h[te.ID] = te.Wall
-	}
-	return h
 }
 
 // Failed counts failed tables.
@@ -149,12 +137,10 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 		Parallelism: par,
 		Cells:       o.Cells,
 	}
-	// Dispatch longest-job-first when cost hints are available: starting
-	// the expensive experiments early shrinks the pool's makespan (a long
-	// job queued last would run alone after everything else drained).
-	// Results and telemetry stay in spec order regardless.
+	// Workers take specs in declaration order; results and telemetry
+	// stay in spec order whatever order they finish in.
 	jobs := make(chan int, len(specs))
-	for _, i := range dispatchOrder(specs, o.SchedHints) {
+	for i := range specs {
 		jobs <- i
 	}
 	close(jobs)
@@ -229,38 +215,6 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 	res.Wall = time.Since(start)
 	res.Summary = suiteSummary(res, o.Datasets, o.Cells)
 	return res
-}
-
-// dispatchOrder returns the spec indices in dispatch order: specs with a
-// cost hint sorted by descending hinted wall time (longest-processing-
-// time-first), preceded by unhinted specs in declaration order (an
-// unknown cost is dispatched early rather than risked last). The sort is
-// stable, so equal hints keep declaration order and the order is
-// deterministic for a given hint map.
-func dispatchOrder(specs []Spec, hints map[string]time.Duration) []int {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	if len(hints) == 0 {
-		return order
-	}
-	hinted := func(i int) bool { _, ok := hints[specs[i].ID]; return ok }
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		ha, hb := hinted(ia), hinted(ib)
-		if ha != hb {
-			return !ha // unhinted first, in declaration order
-		}
-		if !ha {
-			return ia < ib
-		}
-		if hints[specs[ia].ID] != hints[specs[ib].ID] {
-			return hints[specs[ia].ID] > hints[specs[ib].ID]
-		}
-		return ia < ib
-	})
-	return order
 }
 
 // suiteSummary renders the telemetry as a printable table.

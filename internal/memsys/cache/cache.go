@@ -52,9 +52,8 @@ type setMeta struct {
 // followed by a victim scan touches memory once. Per-way flag bits
 // (dirty/pinned/free) are packed into one setMeta word-triple per set.
 //
-// A way index (as returned by HotWay and accepted by PresentAt/SetLastUse)
-// is the slab index of the way's tag cell; the way's lastUse cell is at
-// index+Ways.
+// A way index (such as the memo's hotIdx) is the slab index of the way's
+// tag cell; the way's lastUse cell is at index+Ways.
 type Cache struct {
 	cfg      Config
 	ways     int
@@ -221,55 +220,6 @@ func (c *Cache) FillStream(a memsys.Addr, dirty bool) (victim EvictedLine, evict
 		c.hotIdx = idx
 	}
 	return victim, evicted
-}
-
-// HotWay returns the way index of the same-line memo when it is armed for
-// the line containing a, and -1 otherwise. Callers batching same-line
-// reads use it to learn which way a SameLineReadHit would stamp, so the
-// stamps can be applied in bulk later (FoldReadHits/SetLastUse).
-func (c *Cache) HotWay(a memsys.Addr) int {
-	if c.hotIdx >= 0 && memsys.LineAddr(a) == c.hotLine {
-		return c.hotIdx
-	}
-	return -1
-}
-
-// PresentAt reports whether way index idx currently holds the line
-// containing a. It is the validation step of the run-fold batching path:
-// a cached (line, way) pair from an earlier probe is only trusted when the
-// tag still matches, so any eviction or invalidation since simply fails
-// the check and the caller falls back to a full probe. idx may be stale
-// or from another cache of identical geometry; an out-of-set idx can
-// never match (the set's key is unique to it), but is range-checked
-// against the line's own tag row anyway so a wild index cannot read a
-// coincidentally equal tag from a different set.
-func (c *Cache) PresentAt(idx int, a memsys.Addr) bool {
-	r := c.Resolve(a)
-	return idx >= r.base && idx < r.base+c.ways && c.slab[idx] == r.key
-}
-
-// FoldReadHits applies the accounting of n same-line read hits in one
-// step — n use-clock ticks and n read hits, exactly what n calls of
-// SameLineReadHit (or hitting AccessStreamRead probes) would record — and
-// returns the use clock after the fold, from which the caller back-computes
-// the LRU stamps each folded hit would have left (SetLastUse).
-func (c *Cache) FoldReadHits(n uint64) uint64 {
-	c.useClock += n
-	c.Reads.AddHits(n)
-	return c.useClock
-}
-
-// SetLastUse stamps the LRU clock of way idx, completing a fold: the
-// stamp must be the use-clock value the last replayed hit of that way
-// would have observed.
-func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
-
-// ArmHot re-seeds the same-line memo with a (line, way) pair the caller
-// has validated via PresentAt — the state a hitting AccessStreamRead of
-// that line would have left. It touches no counters.
-func (c *Cache) ArmHot(a memsys.Addr, idx int) {
-	c.hotLine = memsys.LineAddr(a)
-	c.hotIdx = idx
 }
 
 // EvictedLine describes a victim produced by a fill.

@@ -2,8 +2,8 @@ package cache
 
 import "testing"
 
-// The same-line memo (hotLine/hotIdx, exported via SameLineReadHit and
-// HotWay) must die on every event that can change the identity
+// The same-line memo (hotLine/hotIdx, exercised via SameLineReadHit and
+// FillStream) must die on every event that can change the identity
 // of the memoized way: invalidation, eviction, Reset, and explicit
 // DropHot. These tests pin each edge individually;
 // TestCacheMatchesReferenceModel checks the memo against the reference

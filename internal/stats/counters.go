@@ -37,9 +37,6 @@ func (r *Ratio) Observe(hit bool) {
 	}
 }
 
-// AddHits records n hits (and n totals).
-func (r *Ratio) AddHits(n uint64) { r.Hits += n; r.Total += n }
-
 // AddMisses records n misses (n totals, no hits).
 func (r *Ratio) AddMisses(n uint64) { r.Total += n }
 

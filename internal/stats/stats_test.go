@@ -131,7 +131,8 @@ func TestRatio(t *testing.T) {
 	r.Observe(true)
 	r.Observe(false)
 	r.Observe(true)
-	r.AddHits(2)
+	r.Observe(true)
+	r.Observe(true)
 	r.AddMisses(3)
 	if r.Hits != 4 || r.Total != 8 {
 		t.Fatalf("got %d/%d", r.Hits, r.Total)
