@@ -108,9 +108,12 @@ type Config struct {
 	DynamicSchedule bool
 }
 
+// maxCores is the largest supported core count.
+const maxCores = 64
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
-	if c.NumCores <= 0 || c.NumCores > 64 {
+	if c.NumCores <= 0 || c.NumCores > maxCores {
 		return fmt.Errorf("core: NumCores %d out of range", c.NumCores)
 	}
 	if c.L1Bytes <= 0 || c.L1Ways <= 0 {

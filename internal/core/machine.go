@@ -78,7 +78,7 @@ type Machine struct {
 	levelLatency [2 * memsys.NumLevels]uint64
 
 	// sched is the ParallelForGrain scratch state (chunk cursors, per-core
-	// contexts, the clock-ordered core heap), reused across parallel
+	// contexts, the clock-ordered core tree), reused across parallel
 	// regions so scheduling allocates nothing in steady state.
 	sched schedState
 	// seqCtx is the reusable core-0 context handed to Sequential bodies.
@@ -113,13 +113,16 @@ type Machine struct {
 // against a body re-entering ParallelFor: the rare nested region falls
 // back to fresh state instead of corrupting the outer one.
 type schedState struct {
-	nextChunk   []int
-	itemInChunk []int
-	ctxs        []Ctx
-	startClock  []memsys.Cycles // span-sink scratch: per-core region entry clocks
-	heap        coreHeap
-	busy        bool
+	cur        []chunkCursor // per core
+	ctxs       []Ctx
+	startClock []memsys.Cycles // span-sink scratch: per-core region entry clocks
+	heap       coreHeap
+	busy       bool
 }
+
+// chunkCursor is a core's place in ParallelForGrain: it runs items
+// [next, end) of its current chunk.
+type chunkCursor struct{ next, end int }
 
 // levelIndex flattens (level, atomic?) into the profile array index.
 func levelIndex(l memsys.Level, atomic bool) int {
@@ -489,10 +492,10 @@ func (m *Machine) ParallelFor(n int, body func(ctx *Ctx, i int)) {
 // Scheduling interleaves at item granularity: the lowest-clock core with
 // work runs one item, which keeps core clocks tightly coupled so
 // shared-resource (DRAM/NoC) arrival order stays realistic. Core selection
-// uses a (clock, id)-ordered min-heap — O(log p) per item instead
+// uses a (clock, id)-ordered loser tree — log2 p compares per item instead
 // of an O(p) scan — and chunks are claimed eagerly the moment a core goes
 // idle. Both transformations preserve the exact item interleaving of the
-// original per-item scan: the heap minimum equals the scan's
+// original per-item scan: the tree's winner equals the scan's
 // lowest-clock/lowest-id pick, and at most one core goes idle per item, so
 // the eager claim hands out the same chunk the next scan would have.
 func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
@@ -503,7 +506,6 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 		chunk = 1
 	}
 	p := m.cfg.NumCores
-	numChunks := (n + chunk - 1) / chunk
 	s := m.acquireSched(p)
 	defer m.releaseSched(s)
 	m.parRegions.Inc()
@@ -515,49 +517,34 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 		}
 	}
 
-	// nextChunk[c] is the next chunk index owned by core c: OpenMP
-	// schedule(static, chunk) hands core c chunks c, c+p, c+2p, ...;
-	// dynamic scheduling takes chunks from a shared counter when a core
-	// goes idle (Ligra-style work stealing).
-	dynNext := 0
-	for c := 0; c < p; c++ {
-		s.itemInChunk[c] = 0
-		if c >= numChunks {
-			continue
-		}
-		s.nextChunk[c] = c
-		s.heap.push(c)
+	// OpenMP schedule(static, chunk) hands core c chunks c, c+p, c+2p,
+	// ..., so its next chunk starts (p-1)*chunk items past the end of the
+	// current one; dynamic scheduling takes the next chunk from a shared
+	// cursor when a core goes idle (Ligra-style work stealing).
+	live := min(p, (n+chunk-1)/chunk)
+	for c := 0; c < live; c++ {
+		s.cur[c] = chunkCursor{c * chunk, min(c*chunk+chunk, n)}
 	}
-	if m.cfg.DynamicSchedule {
-		dynNext = min(p, numChunks)
-	}
+	s.heap.seed(m.cores, live)
+	dynamic, stride, shared := m.cfg.DynamicSchedule, (p-1)*chunk, live*chunk
 	for !s.heap.empty() {
 		m.checkCancel()
 		sel := s.heap.min()
-		k := s.nextChunk[sel]
-		i := k*chunk + s.itemInChunk[sel]
-		if i < n {
-			body(&s.ctxs[sel], i)
-		}
-		s.itemInChunk[sel]++
-		if s.itemInChunk[sel] >= chunk || i+1 >= n {
-			s.itemInChunk[sel] = 0
-			next := numChunks
-			if m.cfg.DynamicSchedule {
-				if dynNext < numChunks {
-					next = dynNext
-					dynNext++
-				}
-			} else {
-				next = k + p
+		cur := &s.cur[sel]
+		body(&s.ctxs[sel], cur.next)
+		if cur.next++; cur.next == cur.end {
+			start := cur.end + stride
+			if dynamic {
+				start = shared
+				shared += chunk
 			}
-			if next >= numChunks {
+			if start >= n {
 				s.heap.pop()
 				continue
 			}
-			s.nextChunk[sel] = next
+			*cur = chunkCursor{start, min(start+chunk, n)}
 		}
-		// Only the selected core's clock advanced; re-seat it.
+		// Only the selected core's clock advanced; replay its leaf.
 		s.heap.fixMin()
 	}
 	if spans {
@@ -589,20 +576,17 @@ func (m *Machine) acquireSched(p int) *schedState {
 		s = &schedState{}
 	}
 	s.busy = true
-	if cap(s.nextChunk) < p {
-		s.nextChunk = make([]int, p)
-		s.itemInChunk = make([]int, p)
+	if cap(s.cur) < p {
+		s.cur = make([]chunkCursor, p)
 		s.ctxs = make([]Ctx, p)
 		s.startClock = make([]memsys.Cycles, p)
 		for c := range s.ctxs {
 			s.ctxs[c] = Ctx{m: m, core: c}
 		}
 	}
-	s.nextChunk = s.nextChunk[:p]
-	s.itemInChunk = s.itemInChunk[:p]
+	s.cur = s.cur[:p]
 	s.ctxs = s.ctxs[:p]
 	s.startClock = s.startClock[:p]
-	s.heap.reset(m.cores)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"omega/internal/memsys"
@@ -11,7 +12,7 @@ import (
 
 // This file holds the hot-path microbenchmarks and allocation guards for
 // the performance work on the simulated-access path: level-enum
-// accounting, the flat coherence directory, and the heap-based core
+// accounting, the flat coherence directory, and the loser-tree core
 // scheduler. The benchmarks isolate the per-access and per-item costs;
 // the guards pin the "zero allocations in steady state" contract so a
 // future change that reintroduces a per-access allocation fails CI.
@@ -137,27 +138,32 @@ func TestMissPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelFor measures scheduler overhead per item: an empty
-// body isolates the heap-based core selection and chunk accounting.
+// BenchmarkParallelFor measures scheduler overhead per item: a one-op
+// body isolates the loser-tree core selection and the chunk cursors. The
+// core-count sweep makes the tree depth (log2 p compares per item)
+// visible.
 func BenchmarkParallelFor(b *testing.B) {
-	for _, sched := range []struct {
-		name    string
-		dynamic bool
-	}{{"static", false}, {"dynamic", true}} {
-		b.Run(sched.name, func(b *testing.B) {
-			cfg := Baseline()
-			cfg.DynamicSchedule = sched.dynamic
-			m := NewMachine(cfg)
-			body := func(ctx *Ctx, i int) { ctx.Exec(1) }
-			m.ParallelFor(perfN, body) // warm scheduler scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				m.ParallelFor(perfN, body)
-			}
-			b.ReportMetric(float64(b.N*perfN)/float64(b.Elapsed().Seconds())/1e6,
-				"Mitems/s")
-		})
+	for _, cores := range []int{4, 16, 64} {
+		for _, sched := range []struct {
+			name    string
+			dynamic bool
+		}{{"static", false}, {"dynamic", true}} {
+			b.Run(fmt.Sprintf("cores=%d/%s", cores, sched.name), func(b *testing.B) {
+				cfg := Baseline()
+				cfg.NumCores = cores
+				cfg.DynamicSchedule = sched.dynamic
+				m := NewMachine(cfg)
+				body := func(ctx *Ctx, i int) { ctx.Exec(1) }
+				m.ParallelFor(perfN, body) // warm scheduler scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					m.ParallelFor(perfN, body)
+				}
+				b.ReportMetric(float64(b.N*perfN)/float64(b.Elapsed().Seconds())/1e6,
+					"Mitems/s")
+			})
+		}
 	}
 }
 
